@@ -9,15 +9,24 @@ both codecs share:
 
 * :func:`encode_bands_batched` quantises all frames × bands of a block
   as 2-D numpy ops, picks per-band Rice parameters and fixed widths
-  vectorised, and assembles the whole bitstream with **one**
-  ``np.packbits`` pass (headers are scattered into the packed bytes
-  afterwards — their bit positions are zero in the bitplane by
-  construction).
+  vectorised, and writes every fixed-width field of the block with
+  **one** ``np.bincount`` scatter through a 24-bit byte window (headers
+  are scattered into the bytes afterwards — no field covers them).
 * :func:`decode_bands_batched` walks only the band *descriptors* in
-  Python (a few dozen tag bytes per frame), then recovers every
-  fixed-width band of the block from a single ``np.unpackbits`` of the
-  payload; Rice bands go through the vectorised
+  Python, one table lookup per part (a few dozen tag bytes per frame),
+  then gathers every fixed-width field of the block through the same
+  24-bit window; Rice bands go through the vectorised
   :func:`~repro.codec.rice.rice_decode`.
+
+**The byte window.**  A fixed-width field is at most 16 bits wide and
+starts at bit phase 0–7 of its first byte, so it always lies inside the
+three bytes from ``bitpos >> 3`` (phase 7 + width 16 = 23 bits, the
+worst case).  Read as one big-endian 24-bit integer, those bytes hold
+the field at shift ``24 - phase - width``.  Decode gathers the three
+bytes (:func:`gather_fields`) and shifts and masks; encode
+(:func:`scatter_fields`) shifts each value into place, splits it into
+its three byte lanes and sums the lanes per byte — fields never share a
+bit, so the sum is the bitwise OR.
 
 Wire bytes and decoded samples are **bit-identical** to the scalar
 reference coders — that is the contract ``tests/codec/
@@ -26,18 +35,19 @@ reference arithmetic operation by operation (``np.ldexp`` powers of two,
 the same ``ceil``/``log2`` elementwise ufuncs, integer-exact size sums).
 
 Malformed streams are the reference walker's job: anything structurally
-anomalous (width > 16, truncated descriptors, oversized Rice payloads)
-raises :class:`BatchFallback` so the caller can re-run the scalar path
-and reproduce its exact error — corrupt-packet behaviour under the
-seeded fault matrices must not change by a single counter.
+anomalous (width > 16, truncated descriptors or payloads, oversized Rice
+payloads) raises :class:`BatchFallback` so the caller can re-run the
+scalar path and reproduce its exact error — corrupt-packet behaviour
+under the seeded fault matrices must not change by a single counter.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.codec import rice
-from repro.codec.bitpack import packed_size
 
 
 class BatchFallback(Exception):
@@ -45,9 +55,100 @@ class BatchFallback(Exception):
     input; the caller must re-run the per-band reference path."""
 
 
-def _expand(per_band: np.ndarray, band_of: np.ndarray) -> np.ndarray:
-    """Broadcast a per-(frame, band) array to per-(frame, bin)."""
-    return per_band[:, band_of]
+#: part-size table entries that are not a byte count
+_BAD_TAG = 0     # fixed width out of range: the reference walker raises
+_RICE_TAG = -1   # Rice part: its size is in its own u16 length field
+
+
+class _Layout:
+    """Constants of one band partition, built once per ``edges``."""
+
+    def __init__(self, edges: np.ndarray):
+        self.edges = edges
+        self.counts = np.diff(edges)
+        self.n_bands = len(self.counts)
+        self.n_bins = int(edges[-1])
+        # part size in bytes by (band, tag byte): 1 for an inactive band,
+        # descriptor + packed payload for fixed widths 1..16
+        rows = {False: [], True: []}
+        for count in self.counts.tolist():
+            row = [_BAD_TAG] * 256
+            row[0] = 1
+            for width in range(1, 17):
+                row[width] = 2 + (width * count + 7) // 8
+            rows[False].append(row)
+            rows[True].append(row[:0x80] + [_RICE_TAG] * 0x80)
+        self.part_sizes = rows
+
+
+@lru_cache(maxsize=16)
+def _layout_of(key: bytes) -> _Layout:
+    return _Layout(np.frombuffer(key, dtype=np.int64).copy())
+
+
+def _layout(edges) -> _Layout:
+    return _layout_of(np.asarray(edges, dtype=np.int64).tobytes())
+
+
+def _band_elements(layout, parts):
+    """Per-coefficient geometry of the band parts ``parts``.
+
+    ``parts`` are flat ``frame * n_bands + band`` indices.  Returns
+    ``(part_e, within, flat)``: for every coefficient of those parts, the
+    index into ``parts``, its index inside its band, and its index into
+    the flattened ``(frames, n_bins)`` coefficient matrix.
+    """
+    band = parts % layout.n_bands
+    cnt = layout.counts[band]
+    part_e = np.repeat(np.arange(len(parts)), cnt)
+    within = np.arange(len(part_e)) - (np.cumsum(cnt) - cnt)[part_e]
+    row_start = (parts // layout.n_bands) * layout.n_bins
+    flat = (row_start + layout.edges[band])[part_e] + within
+    return part_e, within, flat
+
+
+def _field_bits(part_starts, part_e, within, width_e):
+    """Bit position of every fixed-width field: after its part's two
+    descriptor bytes, ``width`` bits per coefficient, MSB first."""
+    return ((part_starts + 2) * 8)[part_e] + within * width_e
+
+
+def scatter_fields(fields, width_e, bitpos, n_bytes: int) -> np.ndarray:
+    """``n_bytes`` bytes holding unsigned ``fields`` of ``width_e`` bits
+    (1..16) at bit offsets ``bitpos``, MSB first; zero elsewhere.
+
+    Fields must not overlap.  Each is shifted into its 24-bit window,
+    split into three byte lanes, and one ``np.bincount`` sums the lanes
+    per byte — with no bit shared, the sum is the bitwise OR.
+    """
+    shifted = fields << (24 - (bitpos & 7) - width_e)
+    byte = bitpos >> 3
+    lanes = np.bincount(
+        np.concatenate([byte, byte + 1, byte + 2]),
+        weights=np.concatenate(
+            [shifted >> 16, (shifted >> 8) & 0xFF, shifted & 0xFF]
+        ),
+        minlength=n_bytes,
+    )
+    # a field ending in the last byte spills zero lanes past it
+    return lanes[:n_bytes].astype(np.uint8)
+
+
+def gather_fields(data: bytes, width_e, bitpos) -> np.ndarray:
+    """The unsigned ``width_e``-bit (1..16) fields at bit offsets
+    ``bitpos`` of ``data``, MSB first; every field must lie in ``data``.
+
+    A field lies in the three bytes from ``bitpos >> 3``: they are read
+    as the top of one unaligned big-endian 32-bit load (zero bytes past
+    the end cover a field that ends in the last byte), then shifted and
+    masked.
+    """
+    words = np.ndarray(
+        (len(data),), dtype=">u4", buffer=bytes(data) + b"\0\0\0",
+        strides=(1,),
+    )
+    window = words.take(bitpos >> 3).astype(np.int64)
+    return (window >> (32 - (bitpos & 7) - width_e)) & ((1 << width_e) - 1)
 
 
 def encode_bands_batched(
@@ -77,21 +178,16 @@ def encode_bands_batched(
         ``entropy="rice"``.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    n_frames, n_bins = coeffs.shape
+    n_frames = coeffs.shape[0]
     if n_frames == 0:
         return b""
     if not np.isfinite(coeffs).all():
         # the scalar path raises converting inf/nan exponents to int;
         # let it, with its exact exception
         raise BatchFallback("non-finite coefficients")
-    edges = np.asarray(edges, dtype=np.int64)
-    counts = np.diff(edges)
-    n_bands = len(counts)
-    band_of = np.repeat(np.arange(n_bands), counts)
-    bin_in_band = np.arange(n_bins) - np.repeat(edges[:-1], counts)
-
+    layout = _layout(edges)
     widths = np.asarray(widths, dtype=np.int64)
-    amax = np.maximum.reduceat(np.abs(coeffs), edges[:-1], axis=-1)
+    amax = np.maximum.reduceat(np.abs(coeffs), layout.edges[:-1], axis=-1)
     active = (widths >= min_width) & (amax > 0.0)
 
     top = (1 << (np.maximum(widths, 1) - 1)) - 1
@@ -102,110 +198,97 @@ def encode_bands_batched(
         exponent = np.ceil(np.log2(amax / top))
     exponent = np.where(active, np.clip(exponent, -120, 120), 0.0)
     exponent = exponent.astype(np.int64)
+
+    # everything below works on the active parts and their coefficients
+    parts = np.flatnonzero(active.reshape(-1))
+    part_e, within, flat = _band_elements(layout, parts)
+    w_p = widths.reshape(-1)[parts]
+    e_p = exponent.reshape(-1)[parts]
+    top_p = top.reshape(-1)[parts]
+    cnt = layout.counts[parts % layout.n_bands]
     # 2.0 ** e as an exact power of two (ldexp by definition; the scalar
     # path's float pow is exact over |e| <= 120 as well)
-    step = np.ldexp(1.0, exponent)
-
-    top_e = _expand(top, band_of)
+    step_e = np.ldexp(1.0, e_p)[part_e]
+    top_e = top_p[part_e]
     q = np.clip(
-        np.round(coeffs / _expand(step, band_of)), -top_e - 1, top_e
+        np.round(coeffs.reshape(-1)[flat] / step_e), -top_e - 1, top_e
     ).astype(np.int64)
-
-    fixed_bytes = (widths * counts + 7) // 8
+    fixed_bytes = (w_p * cnt + 7) // 8
 
     if use_rice:
         u = rice.zigzag(q)
-        uf = u.astype(np.float64)  # values < 2**17: conversion is exact
-        usums = np.add.reduceat(uf, edges[:-1], axis=-1)
-        means = usums / counts
+        first = np.cumsum(cnt) - cnt
+        # values < 2**17 and sums < 2**26: float conversion is exact
+        means = np.add.reduceat(u.astype(np.float64), first) / cnt
         with np.errstate(divide="ignore"):
             k = np.floor(np.log2(means + 1.0))
         k = np.where(means < 1.0, 0, np.clip(k, 0, 30)).astype(np.int64)
-        k_e = _expand(k, band_of).astype(np.uint64)
-        elem_bits = (u >> k_e).astype(np.int64) + 1 + _expand(k, band_of)
-        band_bits = np.add.reduceat(elem_bits, edges[:-1], axis=-1)
-        rice_bytes = (band_bits + 7) // 8
-        choose_rice = active & (rice_bytes + 2 < fixed_bytes)
-        if choose_rice.any() and int(rice_bytes[choose_rice].max()) > 0xFFFF:
+        k_e = k[part_e]
+        elem_bits = (u >> k_e.astype(np.uint64)).astype(np.int64) + 1 + k_e
+        rice_bytes = (np.add.reduceat(elem_bits, first) + 7) // 8
+        is_rice = rice_bytes + 2 < fixed_bytes
+        if is_rice.any() and int(rice_bytes[is_rice].max()) > 0xFFFF:
             raise BatchFallback("rice payload exceeds u16 length field")
+        part_size = np.where(is_rice, 4 + rice_bytes, 2 + fixed_bytes)
     else:
-        choose_rice = np.zeros_like(active)
-        rice_bytes = fixed_bytes  # unused
+        is_rice = np.zeros(len(parts), dtype=bool)
+        part_size = 2 + fixed_bytes
+    fixed = ~is_rice
+    if parts.size and int(w_p[fixed].max(initial=0)) > 16:
+        # wider than the 24-bit window; the scalar packer refuses it too
+        raise BatchFallback("fixed width out of range")
 
-    fixed = active & ~choose_rice
-    sizes = np.where(
-        fixed, 2 + fixed_bytes, np.where(choose_rice, 4 + rice_bytes, 1)
-    )
-    flat_sizes = sizes.reshape(-1)
-    part_starts = np.concatenate(
-        [[0], np.cumsum(flat_sizes)[:-1]]
-    ).reshape(n_frames, n_bands)
-    total = int(flat_sizes.sum())
-    bits = np.zeros(total * 8, dtype=np.uint8)
+    sizes = np.ones(active.size, dtype=np.int64)  # inactive: one 0 tag
+    sizes[parts] = part_size
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    starts = (ends - sizes)[parts]
 
-    # -- fixed-width bands: offset-binary, MSB first ------------------------
-    fixed_e = _expand(fixed, band_of).reshape(-1)
-    if fixed_e.any():
-        w_e = _expand(widths, band_of).reshape(-1)[fixed_e]
-        off_vals = (
-            q.reshape(-1)[fixed_e] + (1 << (w_e - 1))
-        ).astype(np.int64)
-        field_start = (
-            (_expand(part_starts, band_of) + 2) * 8
-            + bin_in_band[None, :] * _expand(widths, band_of)
-        ).reshape(-1)[fixed_e]
-        for t in range(int(w_e.max())):
-            sel = w_e > t
-            ones = (off_vals[sel] >> (w_e[sel] - 1 - t)) & 1
-            pos = field_start[sel] + t
-            bits[pos[ones == 1]] = 1
+    # -- fixed-width bands: offset-binary, MSB first, one scatter -----------
+    if use_rice:
+        keep = fixed[part_e]
+        vals, f_part, f_within = q[keep], part_e[keep], within[keep]
+    else:
+        vals, f_part, f_within = q, part_e, within
+    w_e = w_p[f_part]
+    bitpos = _field_bits(starts, f_part, f_within, w_e)
+    out = scatter_fields(vals + (1 << (w_e - 1)), w_e, bitpos, total)
 
     # -- Rice bands: unary quotient + k-bit remainder -----------------------
-    if use_rice:
-        rice_e = _expand(choose_rice, band_of).reshape(-1)
-        if rice_e.any():
-            u_sel = u.reshape(-1)[rice_e]
-            k_sel = _expand(k, band_of).reshape(-1)[rice_e]
-            qq = (u_sel >> k_sel.astype(np.uint64)).astype(np.int64)
-            lengths = qq + 1 + k_sel
-            # exclusive cumsum of bit lengths, restarted per band
-            grp = (
-                np.arange(n_frames)[:, None] * n_bands + band_of[None, :]
-            ).reshape(-1)[rice_e]
-            ex = np.cumsum(lengths) - lengths
-            first = np.empty(len(grp), dtype=bool)
-            first[0] = True
-            first[1:] = grp[1:] != grp[:-1]
-            ex = ex - ex[first][np.cumsum(first) - 1]
-            elem_start = (
-                (_expand(part_starts, band_of).reshape(-1)[rice_e] + 4) * 8
-                + ex
-            )
-            bits[elem_start + qq] = 1
-            kmax = int(k_sel.max())
-            for j in range(kmax):
-                sel = k_sel > j
-                ones = (
-                    u_sel[sel] >> (k_sel[sel] - 1 - j).astype(np.uint64)
-                ) & np.uint64(1)
-                pos = elem_start[sel] + qq[sel] + 1 + j
-                bits[pos[ones == np.uint64(1)]] = 1
+    if is_rice.any():
+        bits = np.zeros(total * 8, dtype=np.uint8)
+        sel_e = is_rice[part_e]
+        grp = part_e[sel_e]
+        u_sel = u[sel_e]
+        k_sel = k_e[sel_e]
+        qq = (u_sel >> k_sel.astype(np.uint64)).astype(np.int64)
+        lengths = qq + 1 + k_sel
+        # exclusive cumsum of bit lengths, restarted per band
+        ex = np.cumsum(lengths) - lengths
+        head = np.empty(len(grp), dtype=bool)
+        head[0] = True
+        head[1:] = grp[1:] != grp[:-1]
+        ex = ex - ex[head][np.cumsum(head) - 1]
+        elem_start = (starts[grp] + 4) * 8 + ex
+        bits[elem_start + qq] = 1
+        for j in range(int(k_sel.max())):
+            sel = k_sel > j
+            ones = (
+                u_sel[sel] >> (k_sel[sel] - 1 - j).astype(np.uint64)
+            ) & np.uint64(1)
+            pos = elem_start[sel] + qq[sel] + 1 + j
+            bits[pos[ones == np.uint64(1)]] = 1
+        out |= np.packbits(bits)
+        rs = starts[is_rice]
+        nb = rice_bytes[is_rice]
+        out[rs] = 0x80 | k[is_rice]
+        out[rs + 1] = e_p[is_rice] & 0xFF
+        out[rs + 2] = nb & 0xFF
+        out[rs + 3] = nb >> 8
 
-    # -- one packbits pass, then scatter the headers ------------------------
-    out = np.packbits(bits)
-    ps = part_starts.reshape(-1)
-    fixed_f = fixed.reshape(-1)
-    w_f = widths.reshape(-1)
-    e_f = exponent.reshape(-1)
-    out[ps[fixed_f]] = w_f[fixed_f]
-    out[ps[fixed_f] + 1] = e_f[fixed_f] & 0xFF
-    if use_rice:
-        rice_f = choose_rice.reshape(-1)
-        nb = rice_bytes.reshape(-1)
-        out[ps[rice_f]] = 0x80 | k.reshape(-1)[rice_f]
-        out[ps[rice_f] + 1] = e_f[rice_f] & 0xFF
-        out[ps[rice_f] + 2] = nb[rice_f] & 0xFF
-        out[ps[rice_f] + 3] = (nb[rice_f] >> 8) & 0xFF
+    # -- fixed-band descriptors: width tag + signed exponent ----------------
+    out[starts[fixed]] = w_p[fixed]
+    out[starts[fixed] + 1] = e_p[fixed] & 0xFF
     return out.tobytes()
 
 
@@ -223,82 +306,55 @@ def decode_bands_batched(
     ``(n_frames, n_bins)``; inactive bands stay zero.  Structural
     anomalies — the situations where the scalar walker's *error* is the
     contract — raise :class:`BatchFallback`.  Rice-band payloads go
-    through :func:`repro.codec.rice.rice_decode`, which reproduces the
-    walker's truncation semantics itself.
+    through :func:`repro.codec.rice.rice_decode`.
     """
-    edges = np.asarray(edges, dtype=np.int64)
-    counts_by_band = np.diff(edges)
-    n_bands = len(counts_by_band)
-    n_bins = int(edges[-1])
-    values = np.zeros((n_frames, n_bins))
-    end = len(data)
+    layout = _layout(edges)
+    n_bands = layout.n_bands
+    values = np.zeros((n_frames, layout.n_bins))
 
-    f_idx: list = []
-    b_idx: list = []
-    f_width: list = []
-    f_exp: list = []
-    f_off: list = []
+    # the descriptor walk: one table lookup per part gives its size, so
+    # the loop only records where each part starts
+    starts: list = []
     rice_parts: list = []
-    counts_list = counts_by_band.tolist()
-    edges_list = edges.tolist()
-    for f in range(n_frames):
-        for b in range(n_bands):
-            if offset >= end:
-                raise BatchFallback("descriptor past end of data")
-            tag = data[offset]
-            offset += 1
-            if tag == 0:
-                continue
-            if offset >= end:
-                raise BatchFallback("descriptor past end of data")
-            exp = data[offset]
-            if exp > 127:
-                exp -= 256
-            offset += 1
-            count = counts_list[b]
-            if rice_tags and tag & 0x80:
-                kk = tag & 0x7F
-                if offset + 2 > end:
-                    raise BatchFallback("descriptor past end of data")
-                nbytes = data[offset] | (data[offset + 1] << 8)
-                offset += 2
-                rice_parts.append(
-                    (f, b, exp, kk, data[offset : offset + nbytes], count)
-                )
-            else:
-                if tag > 16:
+    try:
+        for sizes in layout.part_sizes[rice_tags] * n_frames:
+            starts.append(offset)
+            size = sizes[data[offset]]
+            if size <= 0:
+                if size == _BAD_TAG:
                     raise BatchFallback("fixed width out of range")
-                nbytes = packed_size(tag, count)
-                if offset + nbytes > end:
-                    raise BatchFallback("fixed payload truncated")
-                f_idx.append(f)
-                b_idx.append(b)
-                f_width.append(tag)
-                f_exp.append(exp)
-                f_off.append(offset)
-            offset += nbytes
-
-    for f, b, exp, kk, payload, count in rice_parts:
-        q = rice.rice_decode(payload, kk, count)
-        values[f, edges_list[b] : edges_list[b + 1]] = q * (2.0**exp)
-
-    if f_idx:
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        barr = np.array(b_idx, dtype=np.int64)
-        cnts = counts_by_band[barr]
-        w_e = np.repeat(np.array(f_width, dtype=np.int64), cnts)
-        within = np.concatenate([np.arange(c) for c in cnts.tolist()])
-        start = np.repeat(np.array(f_off, dtype=np.int64) * 8, cnts)
-        start = start + within * w_e
-        val = np.zeros(len(w_e), dtype=np.int64)
-        for t in range(int(w_e.max())):
-            sel = w_e > t
-            val[sel] = (val[sel] << 1) | bits[start[sel] + t]
-        q = val - (1 << (w_e - 1))
-        scale = np.repeat(
-            np.ldexp(1.0, np.array(f_exp, dtype=np.int64)), cnts
+                rice_parts.append(len(starts) - 1)
+                size = 4 + (data[offset + 2] | (data[offset + 3] << 8))
+            offset += size
+    except IndexError:
+        raise BatchFallback("descriptor past end of data") from None
+    if offset > len(data):
+        # the last part's payload runs past the end of the data
+        raise BatchFallback("band payload truncated")
+    edges_list = layout.edges.tolist()
+    for i in rice_parts:
+        f, b = divmod(i, n_bands)
+        s = starts[i]
+        exp = data[s + 1] - 256 if data[s + 1] > 127 else data[s + 1]
+        nbytes = data[s + 2] | (data[s + 3] << 8)
+        lo, hi = edges_list[b], edges_list[b + 1]
+        q = rice.rice_decode(
+            data[s + 4 : s + 4 + nbytes], data[s] & 0x7F, hi - lo
         )
-        rows = np.repeat(np.array(f_idx, dtype=np.int64), cnts)
-        cols = np.repeat(edges[barr], cnts) + within
-        values[rows, cols] = q * scale
+        values[f, lo:hi] = q * (2.0**exp)
+
+    raw = np.frombuffer(data, dtype=np.uint8)
+    starts = np.array(starts, dtype=np.int64)
+    tags = raw[starts]
+    fixed = tags != 0
+    fixed[rice_parts] = False
+    parts = np.flatnonzero(fixed)
+    if parts.size:
+        part_starts = starts[parts]
+        part_e, within, flat = _band_elements(layout, parts)
+        w_e = tags[parts].astype(np.int64)[part_e]
+        bitpos = _field_bits(part_starts, part_e, within, w_e)
+        q = gather_fields(data, w_e, bitpos) - (1 << (w_e - 1))
+        exps = raw[part_starts + 1].view(np.int8).astype(np.int64)
+        values.reshape(-1)[flat] = q * np.ldexp(1.0, exps)[part_e]
     return values, offset

@@ -75,9 +75,10 @@ def mdct_analysis(signal: np.ndarray, n: int = 512) -> tuple[np.ndarray, int]:
     body = ((length + n - 1) // n) * n  # content rounded up to frames
     padded = np.zeros(body + 2 * n)
     padded[n : n + length] = x
-    num_frames = body // n + 1
-    idx = np.arange(2 * n)[None, :] + (np.arange(num_frames) * n)[:, None]
-    frames = padded[idx] * sine_window(2 * n)[None, :]
+    # frame i is halves i and i + 1 of the padded signal
+    halves = padded.reshape(-1, n)
+    frames = np.concatenate([halves[:-1], halves[1:]], axis=1)
+    frames *= sine_window(2 * n)[None, :]
     return mdct(frames), length
 
 

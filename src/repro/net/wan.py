@@ -537,13 +537,23 @@ class WanHop:
         # the sender's ring only holds retransmit_buffer frames: a wider
         # gap (e.g. across relay downtime) is unrecoverable up front —
         # skip the hopeless prefix instead of NACKing into the void
+        # up to the first position already parked or missing, in one
+        # step: a forged seq must not buy millions of loop iterations
         hopeless = max(0, d - self.retransmit_buffer)
-        for _ in range(hopeless):
-            if self._next in self._hold or self._next in self._missing:
-                break
-            self.stats.abandoned += 1
-            self._next = (self._next + 1) % SEQ_MOD
-            d -= 1
+        if hopeless:
+            nxt = self._next
+            skip = min(
+                (
+                    (k - nxt) % SEQ_MOD
+                    for keys in (self._hold, self._missing)
+                    for k in keys
+                ),
+                default=hopeless,
+            )
+            skip = min(skip, hopeless)
+            self.stats.abandoned += skip
+            self._next = (nxt + skip) % SEQ_MOD
+            d -= skip
         now = self.sim.now
         deadline = now + self.recover_timeout
         fresh = []

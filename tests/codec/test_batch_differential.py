@@ -13,6 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import bitpack
+from repro.codec.batch import (
+    decode_bands_batched,
+    encode_bands_batched,
+    gather_fields,
+    scatter_fields,
+)
 from repro.codec.mdct import (
     _reference_mdct_synthesis,
     mdct_analysis,
@@ -271,3 +278,211 @@ def test_mp3_corrupt_stream_same_outcome(n, cut, flips, seed):
             i = header + int(frac * (len(blob) - header - 1))
             blob[min(i, len(blob) - 1)] ^= 1 << bit
     assert _outcome(fast, bytes(blob)) == _outcome(slow, bytes(blob))
+
+
+# -- the byte-window field kernels -------------------------------------------
+
+
+def _shifted_pack(values, width, phase):
+    """``pack_int`` output moved ``phase`` bits right: the reference
+    bytes for fields starting at bit phase ``phase``."""
+    bits = np.unpackbits(
+        np.frombuffer(bitpack.pack_int(values, width), dtype=np.uint8)
+    )[: len(values) * width]
+    return np.packbits(
+        np.concatenate([np.zeros(phase, dtype=np.uint8), bits])
+    ).tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+@pytest.mark.parametrize("phase", range(8))
+def test_field_window_every_phase_and_width(width, phase):
+    """Fields at every bit phase 0..7 for every width 1..16 (phase 7 +
+    width 16 = 23 bits fills the 24-bit window), the last one ending in
+    the last byte, against ``bitpack.pack_int``/``unpack_int``."""
+    rng = np.random.default_rng(width * 8 + phase)
+    half = 1 << (width - 1)
+    for count in (1, 2, 7, 8, 9, 33):
+        q = rng.integers(-half, half, count)
+        q[0], q[-1] = -half, half - 1  # all-zero and all-one fields
+        w_e = np.full(count, width, dtype=np.int64)
+        bitpos = phase + np.arange(count, dtype=np.int64) * width
+        expected = _shifted_pack(q, width, phase)
+        n_bytes = (phase + count * width + 7) // 8
+        assert len(expected) == n_bytes  # the last field ends in it
+        packed = scatter_fields(q + half, w_e, bitpos, n_bytes).tobytes()
+        assert packed == expected
+        got = gather_fields(expected, w_e, bitpos) - half
+        assert np.array_equal(got, q)
+        if phase == 0:
+            assert np.array_equal(got, bitpack.unpack_int(expected, width,
+                                                          count))
+
+
+class _StubModel:
+    """A psycho model that allocates the widths it is given, so the
+    reference frame encoder can be driven to every width 1..16."""
+
+    def __init__(self, edges, widths):
+        self.edges = edges
+        self.n_bands = len(edges) - 1
+        self._widths = iter(widths)
+
+    def band_energies(self, frame):
+        return None
+
+    def allocate_widths(self, energies, quality):
+        return next(self._widths)
+
+
+def _crafted_block(rng, edges, n_frames):
+    """Coefficients and widths cycling every band through widths 2..16
+    (odd widths land fields at every bit phase; width 1 has no level
+    to quantise to and neither allocator emits it), with the block's
+    last band active: its last field ends in the last byte."""
+    n_bands = len(edges) - 1
+    widths = np.arange(n_frames * n_bands).reshape(n_frames, n_bands) % 15
+    widths += 2
+    widths[rng.random(widths.shape) < 0.15] = 0  # some inactive bands
+    widths[-1, -1] = 15
+    coeffs = rng.normal(0.0, 1.0, (n_frames, int(edges[-1])))
+    coeffs[rng.random(coeffs.shape) < 0.02] = 0.0
+    return coeffs, widths
+
+
+def _crafted_stream(rng, edges, n_frames):
+    """Band parts of every tag 0..16, width 1 included, written with
+    ``bitpack.pack_int``; the last part is a fixed-width band."""
+    parts = []
+    for f in range(n_frames):
+        for b, count in enumerate(np.diff(edges)):
+            width = int(rng.integers(0, 17))
+            if f == n_frames - 1 and b == len(edges) - 2:
+                width = max(width, 1)
+            if width == 0:
+                parts.append(b"\x00")
+                continue
+            half = 1 << (width - 1)
+            q = rng.integers(-half, half, count)
+            exponent = int(rng.integers(-128, 128))
+            parts.append(
+                bytes([width, exponent & 0xFF]) + bitpack.pack_int(q, width)
+            )
+    return b"".join(parts)
+
+
+def test_vorbis_kernels_every_width_match_reference_walkers():
+    from repro.codec.vorbislike import _model
+
+    rng = np.random.default_rng(5)
+    model = _model(44100, 512)
+    codec = VorbisLikeCodec(quality=10, batched=False)
+    for n_frames in (1, 3, 8):
+        coeffs, widths = _crafted_block(rng, model.edges, n_frames)
+        wire = encode_bands_batched(coeffs, model.edges, widths, min_width=1)
+        stub = _StubModel(model.edges, widths)
+        assert wire == b"".join(
+            codec._reference_encode_frame(frame, stub) for frame in coeffs
+        )
+        values, end = decode_bands_batched(wire, 0, n_frames, model.edges)
+        assert end == len(wire)
+        expected = np.zeros_like(values)
+        offset = 0
+        for f in range(n_frames):
+            offset = codec._reference_decode_frame(
+                wire, offset, expected[f], model
+            )
+        assert values.tobytes() == expected.tobytes()
+
+
+def test_mp3_kernels_every_width_match_reference_walkers():
+    from repro.codec.mp3like import _EDGES
+
+    rng = np.random.default_rng(6)
+    codec = Mp3LikeCodec(batched=False)
+    for n_frames in (1, 3, 8):
+        coeffs, widths = _crafted_block(rng, _EDGES, n_frames)
+        wire = encode_bands_batched(coeffs, _EDGES, widths, min_width=2)
+        assert wire == b"".join(
+            codec._reference_encode_spectrum(spec, w)
+            for spec, w in zip(coeffs, widths)
+        )
+        values, end = decode_bands_batched(
+            wire, 0, n_frames, _EDGES, rice_tags=False
+        )
+        assert end == len(wire)
+        expected = np.zeros_like(values)
+        offset = 0
+        for f in range(n_frames):
+            offset = codec._reference_decode_spectrum(
+                wire, offset, expected[f]
+            )
+        assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_tag_decodes_like_reference_walkers(seed):
+    """Streams carrying every tag 0..16 — width 1 and width 16 included,
+    which neither allocator emits but a stream may carry — decode alike
+    through the batched walk and both codecs' reference walkers."""
+    from repro.codec.mp3like import _EDGES
+    from repro.codec.vorbislike import _model
+
+    rng = np.random.default_rng(seed)
+    model = _model(22050, 256)
+    vorbis = VorbisLikeCodec(batched=False)
+    mp3 = Mp3LikeCodec(batched=False)
+    for edges, rice_tags, walk in (
+        (model.edges, True,
+         lambda w, o, out: vorbis._reference_decode_frame(w, o, out, model)),
+        (_EDGES, False, mp3._reference_decode_spectrum),
+    ):
+        n_frames = 1 + seed * 2
+        wire = _crafted_stream(rng, edges, n_frames)
+        values, end = decode_bands_batched(
+            wire, 0, n_frames, edges, rice_tags=rice_tags
+        )
+        assert end == len(wire)
+        expected = np.zeros_like(values)
+        offset = 0
+        for f in range(n_frames):
+            offset = walk(wire, offset, expected[f])
+        assert offset == end
+        assert values.tobytes() == expected.tobytes()
+
+
+def test_truncation_sweep_every_prefix_same_outcome():
+    """One real 22.05 kHz mono block (65 ms, the default block length)
+    cut at every prefix length: the batched walk, whose ``BatchFallback``
+    checks come in a different order from the scalar walker's errors,
+    must give the same samples or the same exception type as the
+    reference decode."""
+    from repro.audio.signal import music
+
+    x = music(1.0, 22050, seed=3)[11025 : 11025 + 1433]
+    fast, slow = _pair(VorbisLikeCodec, quality=10, sample_rate=22050)
+    blob = fast.encode_block(x)
+    assert 1500 <= len(blob) <= 3000
+    for cut in range(len(blob) + 1):
+        got, ref = _outcome(fast, blob[:cut]), _outcome(slow, blob[:cut])
+        assert got[0] == ref[0], cut
+        if got[0] == "ok":
+            assert got == ref, cut
+
+
+@pytest.mark.parametrize("tag", [0, 1, 15, 16, 17, 100, 127, 128, 200, 255])
+def test_any_first_tag_same_outcome(tag):
+    """Every class of tag byte — inactive, fixed widths, widths past 16,
+    Rice tags, and Rice tags where Mp3Like allows none — in a block's
+    first band part: same samples or the same exception either way."""
+    from repro.audio.signal import music
+
+    x = music(1.0, 22050, seed=4)[11025 : 11025 + 1433]
+    for cls, header, kwargs in (
+        (VorbisLikeCodec, 10, dict(quality=10, sample_rate=22050)),
+        (Mp3LikeCodec, 8, dict(bitrate_kbps=128)),
+    ):
+        fast, slow = _pair(cls, **kwargs)
+        blob = bytearray(fast.encode_block(x))
+        blob[header] = tag
+        assert _outcome(fast, bytes(blob)) == _outcome(slow, bytes(blob))

@@ -286,3 +286,96 @@ def test_failover_determinism():
                 tuple(spk.stats.rejoin_gaps), tuple(spk.stats.play_log))
 
     assert fingerprint() == fingerprint()
+
+
+# -- the hopeless-prefix skip ----------------------------------------------------
+
+
+def _reference_register_gap(hop, d):
+    """The original per-position walk of ``WanHop._register_gap``; kept
+    only as the oracle for the one-step skip."""
+    from repro.net.wan import SEQ_MOD
+
+    hopeless = max(0, d - hop.retransmit_buffer)
+    for _ in range(hopeless):
+        if hop._next in hop._hold or hop._next in hop._missing:
+            break
+        hop.stats.abandoned += 1
+        hop._next = (hop._next + 1) % SEQ_MOD
+        d -= 1
+    deadline = hop.sim.now + hop.recover_timeout
+    cursor = hop._next
+    for _ in range(d):
+        if cursor not in hop._hold and cursor not in hop._missing:
+            hop._missing[cursor] = deadline
+        cursor = (cursor + 1) % SEQ_MOD
+
+
+def _gap_state(rng):
+    """A resequencer state and gap length whose known positions sit in
+    the hopeless prefix, on its boundary, beyond it and behind ``_next``,
+    often with the prefix wrapping across the u32 seq boundary."""
+    from repro.net.wan import SEQ_MOD
+
+    buffer = rng.choice([1, 4, 16, 64])
+    d = rng.randrange(0, 600)
+    hopeless = max(0, d - buffer)
+    if rng.random() < 0.5:
+        nxt = (SEQ_MOD - rng.randrange(0, d + 2)) % SEQ_MOD  # wraps
+    else:
+        nxt = rng.randrange(SEQ_MOD)
+    offsets = {
+        "inside": lambda: rng.randrange(0, max(1, hopeless)),
+        "boundary": lambda: hopeless + rng.choice([-1, 0, 1]),
+        "beyond": lambda: rng.randrange(hopeless, d + 8),
+        "behind": lambda: -rng.randrange(1, 50),
+    }
+    keys = {"hold": [], "missing": []}
+    for _ in range(rng.randrange(0, 5)):
+        where = rng.choice(list(offsets))
+        keys[rng.choice(list(keys))].append(
+            (nxt + offsets[where]()) % SEQ_MOD
+        )
+    return buffer, d, nxt, keys
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_register_gap_skip_matches_per_position_walk(seed):
+    import random
+
+    from repro.net.wan import WanHop
+
+    rng = random.Random(seed)
+    for _ in range(150):
+        buffer, d, nxt, keys = _gap_state(rng)
+        hops = []
+        for _ in range(2):
+            link = WanLink(Simulator(), latency=0.01)
+            hop = WanHop(link, lambda w: None, recovery="nack",
+                         retransmit_buffer=buffer)
+            hop._next = nxt
+            hop._hold = {k: b"" for k in keys["hold"]}
+            hop._missing = {k: 1.0 for k in keys["missing"]}
+            hops.append(hop)
+        fast, slow = hops
+        fast._register_gap(d)
+        _reference_register_gap(slow, d)
+        assert fast.stats.abandoned == slow.stats.abandoned
+        assert fast._next == slow._next
+        assert fast._missing == slow._missing
+
+
+def test_register_gap_forged_seq_is_one_step():
+    """A forged seq ~16M ahead (one flipped byte) skips its hopeless
+    prefix at once instead of one Python iteration per position."""
+    from repro.net.wan import WanHop
+
+    link = WanLink(Simulator(), latency=0.01)
+    hop = WanHop(link, lambda w: None, recovery="nack", retransmit_buffer=64)
+    hop._next = 100
+    d = 0xF30000
+    hop._hold = {100 + d: b""}
+    hop._register_gap(d)
+    assert hop.stats.abandoned == d - 64
+    assert hop._next == 100 + d - 64
+    assert len(hop._missing) == 64
