@@ -9,9 +9,9 @@ producer "does not need to maintain any state for the Ethernet
 Speakers").
 
 This benchmark sweeps cohort sizes up to 10,000 members × 10 simulated
-seconds, races the vectorized fleet against a per-object fleet
-(``cohort=False``) at the 1,024-member race point, and emits
-``BENCH_cohort.json``.  Three gates:
+seconds, races the vectorized fleet against a per-object fleet (the
+``per_object_cohort`` oracle from ``tests/oracles.py``) at the
+1,024-member race point, and emits ``BENCH_cohort.json``.  Four gates:
 
 * the cohort must execute **>= 10x fewer** simulator events than the
   per-object fleet at the race point;
@@ -20,7 +20,10 @@ seconds, races the vectorized fleet against a per-object fleet
 * against the committed baseline
   (``benchmarks/BENCH_cohort_baseline.json``) the *normalised*
   wall-clock — cohort divided by per-object, so host speed cancels
-  out — must not regress by more than 25 %.
+  out — must not regress by more than 25 %;
+* the per-object oracle must be the per-object fleet itself: it
+  executes exactly the baseline per-object arm's simulator events,
+  blocks played and packets sent.
 """
 
 import json
@@ -30,6 +33,7 @@ from pathlib import Path
 from repro.audio import AudioEncoding, AudioParams, music
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
+from tests.oracles import per_object_cohort
 
 PARAMS = AudioParams(AudioEncoding.SLINEAR16, 22050, 1)
 STREAM_SECONDS = 10.0
@@ -45,11 +49,14 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_cohort_baseline.json"
 
 
 def run_fleet(members, *, cohort):
-    system = EthernetSpeakerSystem(telemetry=False, cohort=cohort)
+    system = EthernetSpeakerSystem(telemetry=False)
     producer = system.add_producer()
     channel = system.add_channel("bench", params=PARAMS, compress="always")
     system.add_rebroadcaster(producer, channel)
-    fleet = system.add_speaker_cohort(channel, members)
+    if cohort:
+        fleet = system.add_speaker_cohort(channel, members)
+    else:
+        fleet = per_object_cohort(system, channel, members)
     system.play_pcm(
         producer, music(STREAM_SECONDS, PARAMS.sample_rate, seed=3), PARAMS
     )
@@ -137,6 +144,12 @@ def test_cohort_scale_and_regression_gate():
 
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())
+        base_object = baseline["race"]["per_object"]
+        for key in ("events_executed", "blocks_played", "packets_sent"):
+            assert race_object[key] == base_object[key], (
+                f"per-object oracle {key} {race_object[key]} differs "
+                f"from the baseline per-object arm's {base_object[key]}"
+            )
         base_norm = baseline["race"]["normalised_wall"]
         limit = base_norm * MAX_NORMALISED_REGRESSION
         print(f"normalised wall: {normalised:.4f} "

@@ -8,14 +8,17 @@ fan-out fast path (shared-decode cache + zero-copy parsing + batched
 delivery + event free-list) makes host wall-clock scale like the wire.
 
 This benchmark sweeps speakers × stream-seconds on the fast path, races the
-headline point (64 speakers × 10 s) against the compatibility switches
-(``shared_decode=False, batched_delivery=False``), and emits
-``BENCH_fanout.json``.  Two gates:
+headline point (64 speakers × 10 s) against the compat oracle (speakers
+built with ``decode_cache=None`` plus the ``per_receiver_delivery`` oracle
+from ``tests/oracles.py``), and emits ``BENCH_fanout.json``.  Three gates:
 
 * the fast path must be **>= 3x** faster at the headline point;
 * against the committed baseline (``benchmarks/BENCH_fanout_baseline.json``)
   the *normalised* wall-clock per simulated second — fast divided by compat,
-  so host speed cancels out — must not regress by more than 25 %.
+  so host speed cancels out — must not regress by more than 25 %;
+* the oracle must be the slow path itself, not a cheaper or costlier
+  stand-in: it executes exactly the baseline compat arm's simulator
+  events, blocks played and packets sent.
 """
 
 import json
@@ -25,6 +28,7 @@ from pathlib import Path
 from repro.audio import AudioEncoding, AudioParams, music
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
+from tests.oracles import per_receiver_delivery
 
 PARAMS = AudioParams(AudioEncoding.SLINEAR16, 22050, 1)
 SWEEP = [(4, 2.0), (16, 2.0), (64, 2.0), (64, 10.0)]
@@ -37,17 +41,17 @@ RESULT_PATH = REPO_ROOT / "BENCH_fanout.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_fanout_baseline.json"
 
 
-def run_fanout(speakers, stream_seconds, *, shared_decode, batched_delivery):
-    system = EthernetSpeakerSystem(
-        telemetry=False,
-        shared_decode=shared_decode,
-        batched_delivery=batched_delivery,
-    )
+def run_fanout(speakers, stream_seconds, *, oracle=False):
+    system = EthernetSpeakerSystem(telemetry=False)
+    speaker_kwargs = {}
+    if oracle:
+        per_receiver_delivery(system.sim)
+        speaker_kwargs["decode_cache"] = None
     producer = system.add_producer()
     channel = system.add_channel("bench", params=PARAMS, compress="always")
     system.add_rebroadcaster(producer, channel)
     for _ in range(speakers):
-        system.add_speaker(channel=channel)
+        system.add_speaker(channel=channel, **speaker_kwargs)
     system.play_pcm(
         producer, music(stream_seconds, PARAMS.sample_rate, seed=3), PARAMS
     )
@@ -70,17 +74,12 @@ def run_fanout(speakers, stream_seconds, *, shared_decode, batched_delivery):
 
 
 def test_fanout_scale_and_regression_gate():
-    sweep = [
-        run_fanout(n, secs, shared_decode=True, batched_delivery=True)
-        for n, secs in SWEEP
-    ]
+    sweep = [run_fanout(n, secs) for n, secs in SWEEP]
     fast = next(
         r for r in sweep
         if (r["speakers"], r["stream_seconds"]) == HEADLINE
     )
-    compat = run_fanout(
-        *HEADLINE, shared_decode=False, batched_delivery=False
-    )
+    compat = run_fanout(*HEADLINE, oracle=True)
 
     # the fast path must not change what the audience hears
     assert fast["blocks_played"] == compat["blocks_played"] > 0
@@ -128,6 +127,12 @@ def test_fanout_scale_and_regression_gate():
 
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())
+        for key in ("events_executed", "blocks_played", "packets_sent"):
+            assert compat[key] == baseline["headline"]["compat"][key], (
+                f"compat oracle {key} {compat[key]} differs from the "
+                f"baseline compat arm's "
+                f"{baseline['headline']['compat'][key]}"
+            )
         base_norm = baseline["headline"]["normalised_wall"]
         limit = base_norm * MAX_NORMALISED_REGRESSION
         print(f"normalised wall: {normalised:.4f} "

@@ -17,7 +17,8 @@ trade on a live relay tree:
   run is deterministic per seed and compared against the committed
   ``benchmarks/BENCH_fec_baseline.json`` with a 25 % allowance.
 
-Emits ``BENCH_fec.json`` (uploaded by the CI ``fec-bench`` job).
+Emits ``BENCH_fec.json`` (uploaded by the ``fec`` entry of the CI
+``bench`` matrix job).
 """
 
 import json

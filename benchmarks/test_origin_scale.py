@@ -12,24 +12,30 @@ producer + rebroadcaster + listener encoding 250 ms blocks of the same
 source (the *encode* cache stays off so every channel pays the full
 encoder cost; the shared decode cache keeps the listener side identical
 between arms), races the headline point (32 channels) against the scalar
-reference kernels (``batched_encode=False``), and emits
-``BENCH_origin.json``.  Two gates:
+reference loops (the ``scalar_codec_kernels`` oracle from
+``tests/oracles.py`` forces every encode onto them), and emits
+``BENCH_origin.json``.  Three gates:
 
 * batched encode kernels must be **>= 4x** faster at 32 channels;
 * against the committed baseline
   (``benchmarks/BENCH_origin_baseline.json``) the *normalised*
   wall-clock — fast divided by scalar, so host speed cancels out — must
-  not regress by more than 25 %.
+  not regress by more than 25 %;
+* the scalar oracle must be the scalar origin itself: it executes
+  exactly the baseline scalar arm's simulator events, blocks encoded
+  and blocks played.
 """
 
 import json
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.audio import music
 from repro.audio.params import CD_QUALITY
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
+from tests.oracles import scalar_codec_kernels
 
 SWEEP = [1, 8, 32, 64]
 HEADLINE = 32
@@ -44,13 +50,7 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_origin_baseline.json"
 
 
 def run_origin(channels, *, batched_encode):
-    system = EthernetSpeakerSystem(
-        telemetry=False,
-        batched_encode=batched_encode,
-        # the race measures the encoder kernels, not same-source dedupe:
-        # every channel must pay for its own encode
-        shared_encode=False,
-    )
+    system = EthernetSpeakerSystem(telemetry=False)
     pcm = music(STREAM_SECONDS, 44100, seed=3)
     for i in range(channels):
         producer = system.add_producer(
@@ -61,13 +61,19 @@ def run_origin(channels, *, batched_encode):
         )
         channel = system.add_channel(f"ch{i}", params=CD_QUALITY,
                                      compress="always")
+        # the race measures the encoder kernels, not same-source dedupe:
+        # every channel must pay for its own encode
         system.add_rebroadcaster(producer, channel,
-                                 master_path=f"/dev/vadm{i}")
+                                 master_path=f"/dev/vadm{i}",
+                                 encode_cache=None)
         system.add_speaker(channel=channel)
         system.play_pcm(producer, pcm, CD_QUALITY,
                         slave_path=f"/dev/vads{i}")
+    oracle = (nullcontext() if batched_encode
+              else scalar_codec_kernels(decode=False))
     start = time.perf_counter()
-    system.run(until=STREAM_SECONDS + 4.0)
+    with oracle:
+        system.run(until=STREAM_SECONDS + 4.0)
     wall = time.perf_counter() - start
     played = sum(n.stats.played for n in system.speakers)
     blocks = sum(rb.stats.data_sent for rb in system.rebroadcasters)
@@ -140,6 +146,12 @@ def test_origin_scale_and_regression_gate():
 
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())
+        base_scalar = baseline["headline"]["scalar"]
+        for key in ("events_executed", "blocks_encoded", "blocks_played"):
+            assert scalar[key] == base_scalar[key], (
+                f"scalar oracle {key} {scalar[key]} differs from the "
+                f"baseline scalar arm's {base_scalar[key]}"
+            )
         base_norm = baseline["headline"]["normalised_wall"]
         limit = base_norm * MAX_NORMALISED_REGRESSION
         print(f"normalised wall: {normalised:.4f} "

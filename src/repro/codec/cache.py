@@ -37,6 +37,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+#: default entry bound of both caches (the system-wide caches use it)
+MAX_ENTRIES = 256
+
 
 @dataclass
 class DecodeCacheStats:
@@ -76,7 +79,8 @@ class DecodeCache:
         etc.  ``None`` falls back to the process default.
     """
 
-    def __init__(self, max_entries: int = 256, telemetry=None, name: str = ""):
+    def __init__(self, max_entries: int = MAX_ENTRIES, telemetry=None,
+                 name: str = ""):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1: {max_entries}")
         if telemetry is None:
@@ -163,7 +167,8 @@ class EncodeCache:
     size estimation — must bypass the cache entirely.
     """
 
-    def __init__(self, max_entries: int = 256, telemetry=None, name: str = ""):
+    def __init__(self, max_entries: int = MAX_ENTRIES, telemetry=None,
+                 name: str = ""):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1: {max_entries}")
         if telemetry is None:

@@ -58,15 +58,12 @@ class Mp3LikeCodec(BlockCodec):
 
     codec_id = CodecID.MP3_LIKE
 
-    def __init__(self, bitrate_kbps: int = 192, batched: bool = True):
+    def __init__(self, bitrate_kbps: int = 192):
         if bitrate_kbps not in SUPPORTED_KBPS:
             raise ValueError(
                 f"bitrate {bitrate_kbps} not in ladder {SUPPORTED_KBPS}"
             )
         self.bitrate_kbps = bitrate_kbps
-        #: whole-block kernels from :mod:`repro.codec.batch`; the scalar
-        #: ``_reference_*`` loops remain the bit-exact oracle/fallback
-        self.batched = batched
 
     def encode_block(self, samples: np.ndarray) -> bytes:
         x = np.asarray(samples, dtype=np.float64)
@@ -87,22 +84,24 @@ class Mp3LikeCodec(BlockCodec):
                 norm="ortho")
             for ch in range(channels)
         ]
-        if self.batched:
-            try:
-                # channels stacked block-major matches the wire order
-                all_spec = np.concatenate(spectra_list, axis=0)
-                body = encode_bands_batched(
-                    all_spec,
-                    _EDGES,
-                    np.broadcast_to(
-                        widths, (all_spec.shape[0], len(_EDGES) - 1)
-                    ),
-                    min_width=2,
-                    use_rice=False,
-                )
-                return parts[0] + body
-            except BatchFallback:
-                pass
+        # the whole-block kernel (:mod:`repro.codec.batch`) first; the
+        # scalar ``_reference_*`` loop is bit-identical and handles the
+        # inputs the kernel refuses
+        try:
+            # channels stacked block-major matches the wire order
+            all_spec = np.concatenate(spectra_list, axis=0)
+            body = encode_bands_batched(
+                all_spec,
+                _EDGES,
+                np.broadcast_to(
+                    widths, (all_spec.shape[0], len(_EDGES) - 1)
+                ),
+                min_width=2,
+                use_rice=False,
+            )
+            return parts[0] + body
+        except BatchFallback:
+            pass
         for spectra in spectra_list:
             for spec in spectra:
                 parts.append(self._reference_encode_spectrum(spec, widths))
@@ -138,20 +137,18 @@ class Mp3LikeCodec(BlockCodec):
         if codec != int(self.codec_id):
             raise ValueError(f"not an mp3like block (codec id {codec})")
         num_blocks = (num_samples + _BLOCK - 1) // _BLOCK
-        spectra_list = None
-        if self.batched:
-            try:
-                spectra_list = []
-                offset = _HEADER.size
-                for _ in range(channels):
-                    spectra, offset = decode_bands_batched(
-                        data, offset, num_blocks, _EDGES, rice_tags=False
-                    )
-                    spectra_list.append(spectra)
-            except BatchFallback:
-                # malformed stream: reproduce the reference walker's
-                # exact error by re-decoding from the block start
-                spectra_list = None
+        try:
+            spectra_list = []
+            offset = _HEADER.size
+            for _ in range(channels):
+                spectra, offset = decode_bands_batched(
+                    data, offset, num_blocks, _EDGES, rice_tags=False
+                )
+                spectra_list.append(spectra)
+        except BatchFallback:
+            # malformed stream: reproduce the reference walker's exact
+            # error by re-decoding from the block start
+            spectra_list = None
         if spectra_list is None:
             spectra_list = []
             offset = _HEADER.size

@@ -58,7 +58,6 @@ class VorbisLikeCodec(BlockCodec):
         frame_size: int = 512,
         entropy: str = "fixed",
         window_switching: bool = False,
-        batched: bool = True,
     ):
         if not 0 <= quality <= 10:
             raise ValueError(f"quality must be 0..10: {quality}")
@@ -78,11 +77,6 @@ class VorbisLikeCodec(BlockCodec):
         #: Rice-coded residue (smaller, FLAC-style).  The decoder handles
         #: both regardless of this setting — each band is tagged.
         self.entropy = entropy
-        #: whole-block vectorised kernels (:mod:`repro.codec.batch`);
-        #: bit-identical to the per-frame reference loops, which survive
-        #: as ``_reference_*`` and handle the inputs the batch kernels
-        #: refuse (non-finite coefficients, malformed streams)
-        self.batched = batched
         self._log2n = frame_size.bit_length() - 1
 
     # -- encoding ---------------------------------------------------------------
@@ -115,23 +109,25 @@ class VorbisLikeCodec(BlockCodec):
             num_samples,
             num_frames,
         )
-        if self.batched:
-            try:
-                # planes stacked frame-major preserves the wire order:
-                # every frame of the mid plane, then every side frame
-                all_coeffs = np.concatenate(coeffs_list, axis=0)
-                energies = model.band_energies(all_coeffs)
-                widths = model.allocate_widths(energies, self.quality)
-                body = encode_bands_batched(
-                    all_coeffs,
-                    model.edges,
-                    widths,
-                    min_width=1,
-                    use_rice=self.entropy == "rice",
-                )
-                return header + body
-            except BatchFallback:
-                pass
+        # the whole-block kernel (:mod:`repro.codec.batch`) first; the
+        # per-frame ``_reference_*`` loop is bit-identical and handles the
+        # inputs the kernel refuses (non-finite coefficients)
+        try:
+            # planes stacked frame-major preserves the wire order:
+            # every frame of the mid plane, then every side frame
+            all_coeffs = np.concatenate(coeffs_list, axis=0)
+            energies = model.band_energies(all_coeffs)
+            widths = model.allocate_widths(energies, self.quality)
+            body = encode_bands_batched(
+                all_coeffs,
+                model.edges,
+                widths,
+                min_width=1,
+                use_rice=self.entropy == "rice",
+            )
+            return header + body
+        except BatchFallback:
+            pass
         chunks = []
         for coeffs in coeffs_list:
             for frame in coeffs:
@@ -213,20 +209,18 @@ class VorbisLikeCodec(BlockCodec):
             raise ValueError(f"not a vorbislike block (codec id {codec})")
         n = 1 << log2n
         model = _model(self.sample_rate, n)
-        planes = None
-        if self.batched:
-            try:
-                planes = []
-                offset = _HEADER.size
-                for _ in range(channels):
-                    coeffs, offset = decode_bands_batched(
-                        data, offset, num_frames, model.edges
-                    )
-                    planes.append(mdct_synthesis(coeffs, num_samples))
-            except BatchFallback:
-                # malformed stream: the reference walker's exact error
-                # is the contract, so re-decode from the block start
-                planes = None
+        try:
+            planes = []
+            offset = _HEADER.size
+            for _ in range(channels):
+                coeffs, offset = decode_bands_batched(
+                    data, offset, num_frames, model.edges
+                )
+                planes.append(mdct_synthesis(coeffs, num_samples))
+        except BatchFallback:
+            # malformed stream: the reference walker's exact error is
+            # the contract, so re-decode from the block start
+            planes = None
         if planes is None:
             offset = _HEADER.size
             planes = []

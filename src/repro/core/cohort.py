@@ -21,7 +21,7 @@ frame the member did not share, so every scalar the clone copies is
 exactly the state the per-object twin had at that instant.
 
 Fate draws stay scalar and in per-member order (see
-``FaultInjector._copy_fate`` and the segment/switch cohort loops), so a
+``FaultInjector._copy_fate`` and ``repro.net.segment.cohort_fates``), so a
 seeded cohort run consumes the wire RNG in exactly the sequence the
 per-object fleet does — the property the differential harness
 (``tests/core/test_cohort_differential.py``) asserts.

@@ -312,22 +312,6 @@ class FaultInjector:
                 self._dispatch(nic, copy, copy_delay)
         return "clean" if clean else "handled"
 
-    def deliver_cohort(self, cohort, dgram: Datagram, delay: float) -> None:
-        """Per-member fates for a whole cohort, one shared delivery for
-        the aligned survivors.  Member tokens are the chain/hold keys, so
-        burst phase and parked copies follow a member across its spill."""
-        represented = 0
-        for tok in cohort.tokens:
-            if tok.state == 0:  # ALIGNED
-                fate = self._copy_fate(tok, dgram, delay)
-                if fate == "clean":
-                    represented += 1
-                else:
-                    cohort.mark_divergent(tok, dgram, reason=fate)
-            else:
-                self.deliver(tok, dgram, delay)
-        cohort.finish_frame(dgram, delay, represented)
-
     # -- mechanics ----------------------------------------------------------------
 
     def _chain(self, nic) -> GilbertElliott:

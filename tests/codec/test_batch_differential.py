@@ -1,9 +1,11 @@
 """Differential harness: batched codec kernels == scalar reference.
 
 The batched whole-block kernels (:mod:`repro.codec.batch`) claim **bit
-identity** with the per-frame/per-band scalar loops they replace — on the
-wire (encode) and in the recovered samples (decode), including the exact
-exception a malformed stream raises.  These tests pin that claim with
+identity** with the per-frame/per-band scalar ``_reference_*`` loops —
+on the wire (encode) and in the recovered samples (decode), including
+the exact exception a malformed stream raises.  The scalar arm is the
+``ScalarCodec`` oracle from ``tests/oracles.py``, which forces every
+kernel call onto the ``BatchFallback`` route.  These tests pin that claim with
 hypothesis sweeps over dtypes, odd block sizes, empty blocks, every Rice
 parameter 0..30, and random byte-level corruption.
 """
@@ -32,6 +34,7 @@ from repro.codec.rice import (
     rice_encode,
 )
 from repro.codec.vorbislike import VorbisLikeCodec
+from tests.oracles import ScalarCodec
 
 
 def _signal(rng, n, channels, kind):
@@ -54,7 +57,7 @@ def _signal(rng, n, channels, kind):
 
 
 def _pair(cls, **kwargs):
-    return cls(batched=True, **kwargs), cls(batched=False, **kwargs)
+    return cls(**kwargs), ScalarCodec(cls(**kwargs))
 
 
 def _outcome(codec, data):
@@ -376,7 +379,7 @@ def test_vorbis_kernels_every_width_match_reference_walkers():
 
     rng = np.random.default_rng(5)
     model = _model(44100, 512)
-    codec = VorbisLikeCodec(quality=10, batched=False)
+    codec = VorbisLikeCodec(quality=10)
     for n_frames in (1, 3, 8):
         coeffs, widths = _crafted_block(rng, model.edges, n_frames)
         wire = encode_bands_batched(coeffs, model.edges, widths, min_width=1)
@@ -399,7 +402,7 @@ def test_mp3_kernels_every_width_match_reference_walkers():
     from repro.codec.mp3like import _EDGES
 
     rng = np.random.default_rng(6)
-    codec = Mp3LikeCodec(batched=False)
+    codec = Mp3LikeCodec()
     for n_frames in (1, 3, 8):
         coeffs, widths = _crafted_block(rng, _EDGES, n_frames)
         wire = encode_bands_batched(coeffs, _EDGES, widths, min_width=2)
@@ -430,8 +433,8 @@ def test_every_tag_decodes_like_reference_walkers(seed):
 
     rng = np.random.default_rng(seed)
     model = _model(22050, 256)
-    vorbis = VorbisLikeCodec(batched=False)
-    mp3 = Mp3LikeCodec(batched=False)
+    vorbis = VorbisLikeCodec()
+    mp3 = Mp3LikeCodec()
     for edges, rice_tags, walk in (
         (model.edges, True,
          lambda w, o, out: vorbis._reference_decode_frame(w, o, out, model)),

@@ -4,7 +4,8 @@ The cache exists so N speakers on one channel decode each multicast block
 once — but it must never let entries leak across channels with different
 codecs or audio parameters, must stay bounded, and its hit/miss accounting
 must reconcile with what :meth:`EthernetSpeakerSystem.pipeline_report`
-itemises.  Crucially, enabling it must not change a single played byte.
+itemises.  Crucially, enabling it must not change a single played byte
+(the cache-off arm builds its speakers with ``decode_cache=None``).
 """
 
 import numpy as np
@@ -114,14 +115,14 @@ def test_invalid_bound_rejected():
 
 
 def _run_fanout(shared_decode, speakers=4, telemetry=True):
-    system = EthernetSpeakerSystem(
-        telemetry=telemetry, shared_decode=shared_decode
-    )
+    system = EthernetSpeakerSystem(telemetry=telemetry)
+    speaker_kwargs = {} if shared_decode else {"decode_cache": None}
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY,
                                  compress="always")
     system.add_rebroadcaster(producer, channel)
-    nodes = [system.add_speaker(channel=channel) for _ in range(speakers)]
+    nodes = [system.add_speaker(channel=channel, **speaker_kwargs)
+             for _ in range(speakers)]
     system.play_pcm(producer, music(1.0, 44100, seed=7), CD_QUALITY)
     system.run(until=4.0)
     return system, nodes
@@ -147,9 +148,9 @@ def test_hit_rate_reconciles_in_pipeline_report():
 
 
 def test_disabled_cache_reports_zero():
-    system, _ = _run_fanout(shared_decode=False)
+    system, nodes = _run_fanout(shared_decode=False)
     report = system.pipeline_report()
-    assert system.decode_cache is None
+    assert all(n.speaker.decode_cache is None for n in nodes)
     assert report.decode_cache_hits == 0
     assert report.decode_cache_misses == 0
     assert "decode cache hits" not in report.summary()
@@ -170,7 +171,7 @@ def test_shared_decode_playout_is_bit_identical():
 
 
 def test_gain_adjusted_speaker_bypasses_cache():
-    system = EthernetSpeakerSystem(telemetry=True, shared_decode=True)
+    system = EthernetSpeakerSystem(telemetry=True)
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY,
                                  compress="always")

@@ -2,9 +2,10 @@
 to the per-object fleet it stands in for.
 
 Every scenario builds the same deployment twice on the same seeds — once
-with ``cohort=True`` (one exemplar + numpy member rows + mid-stream
-spills) and once with ``cohort=False`` (N real ``add_speaker`` nodes
-behind the same member API) — and asserts that every member's playout
+with ``add_speaker_cohort`` (one exemplar + numpy member rows + mid-stream
+spills) and once with the per-object oracle ``per_object_cohort`` from
+``tests/oracles.py`` (N real ``add_speaker`` nodes behind the same member
+API) — and asserts that every member's playout
 (``play_log``, ``write_offsets``), every ``SpeakerStats`` counter, and
 the channel/pipeline ledgers agree exactly.
 
@@ -21,6 +22,7 @@ import pytest
 
 from repro.audio.params import CD_QUALITY
 from repro.core import EthernetSpeakerSystem
+from tests.oracles import per_object_cohort
 
 MEMBERS = 6
 STREAM_SECONDS = 3.0
@@ -36,15 +38,21 @@ PIPELINE_FIELDS = (
 )
 
 
+def add_fleet(system, channel, cohort):
+    if cohort:
+        return system.add_speaker_cohort(channel, MEMBERS)
+    return per_object_cohort(system, channel, MEMBERS)
+
+
 def build(cohort, scenario, seed):
-    system = EthernetSpeakerSystem(seed=seed, cohort=cohort)
+    system = EthernetSpeakerSystem(seed=seed)
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY)
     rb = system.add_rebroadcaster(producer, channel, control_interval=0.5)
     if scenario == "crash-failover":
         system.add_standby(producer, channel, takeover_timeout=1.0,
                            check_interval=0.2, control_interval=0.5)
-    fleet = system.add_speaker_cohort(channel, MEMBERS)
+    fleet = add_fleet(system, channel, cohort)
     if scenario == "ge-loss-dup-reorder":
         system.inject_faults(loss_rate=0.05, burst_length=3,
                              duplicate_rate=0.02, reorder_rate=0.03,
@@ -110,11 +118,11 @@ def test_detach_mid_stream_matches_per_object_fleet(seed):
     counters don't double-count, and the fleets stay bit-identical."""
 
     def run(cohort):
-        system = EthernetSpeakerSystem(seed=seed, cohort=cohort)
+        system = EthernetSpeakerSystem(seed=seed)
         producer = system.add_producer()
         channel = system.add_channel("hall", params=CD_QUALITY)
         system.add_rebroadcaster(producer, channel, control_interval=0.5)
-        fleet = system.add_speaker_cohort(channel, MEMBERS)
+        fleet = add_fleet(system, channel, cohort)
         inj = system.inject_faults(reorder_rate=0.15, reorder_window=8,
                                    reorder_hold=30.0, loss_rate=0.03,
                                    burst_length=2.0, seed=seed + 100)

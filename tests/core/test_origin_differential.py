@@ -2,25 +2,29 @@
 the scalar origin it replaces.
 
 Every scenario builds the same multi-channel station twice on the same
-seeds — once with ``batched_encode=True`` (whole-block numpy kernels)
-and once with ``batched_encode=False`` (the per-frame/per-band scalar
-reference loops) — and asserts that every speaker's playout
+seeds — once as production runs it (whole-block numpy kernels) and once
+with the encoders forced onto the per-frame/per-band scalar reference
+loops by the ``scalar_codec_kernels`` oracle in ``tests/oracles.py`` —
+and asserts that every speaker's playout
 (``play_log``, ``write_offsets``), every ``SpeakerStats`` counter, and
 the channel/pipeline ledgers agree exactly, clean and under GE faults.
 
-The encode cache gets the same treatment: enabling it may only change
+The encode cache gets the same treatment (the cache-off arm builds its
+rebroadcasters with ``encode_cache=None``): enabling it may only change
 host-side work (its own hit/miss counters), never a wire byte, a played
 sample, or the conservation ledger — cache counters are itemised
 out-of-band of the conservation bound.
 """
 
 import dataclasses
+from contextlib import nullcontext
 
 import pytest
 
 from repro.audio import music
 from repro.audio.params import CD_QUALITY
 from repro.core import EthernetSpeakerSystem
+from tests.oracles import scalar_codec_kernels
 
 CHANNELS = 2
 SPEAKERS = 2
@@ -41,12 +45,8 @@ PIPELINE_FIELDS = (
 def build(scenario, seed, *, batched_encode=True, shared_encode=True,
           channels=CHANNELS, speakers=SPEAKERS,
           stream_seconds=STREAM_SECONDS, horizon=HORIZON):
-    system = EthernetSpeakerSystem(
-        seed=seed,
-        telemetry=True,
-        batched_encode=batched_encode,
-        shared_encode=shared_encode,
-    )
+    system = EthernetSpeakerSystem(seed=seed, telemetry=True)
+    rb_kwargs = {} if shared_encode else {"encode_cache": None}
     pcm = music(stream_seconds, 44100, seed=seed)
     nodes = []
     for i in range(channels):
@@ -58,7 +58,7 @@ def build(scenario, seed, *, batched_encode=True, shared_encode=True,
         channel = system.add_channel(f"ch{i}", params=CD_QUALITY,
                                      compress="always")
         system.add_rebroadcaster(producer, channel, control_interval=0.5,
-                                 master_path=f"/dev/vadm{i}")
+                                 master_path=f"/dev/vadm{i}", **rb_kwargs)
         for _ in range(speakers):
             nodes.append(system.add_speaker(channel=channel))
         system.play_pcm(producer, pcm, CD_QUALITY,
@@ -69,7 +69,10 @@ def build(scenario, seed, *, batched_encode=True, shared_encode=True,
                              reorder_window=4, seed=seed + 100)
     elif scenario == "corruption":
         system.inject_faults(corrupt_rate=0.04, seed=seed + 100)
-    system.run(until=horizon)
+    # encoders run only inside the simulation, so the oracle wraps the run
+    with (nullcontext() if batched_encode
+          else scalar_codec_kernels(decode=False)):
+        system.run(until=horizon)
     return system, nodes
 
 
@@ -119,7 +122,7 @@ def test_encode_cache_changes_nothing_but_its_counters(seed):
                                shared_encode=False)
     # both channels play the same source, so the second one hits
     assert sys_on.encode_cache.stats.hits > 0
-    assert sys_off.encode_cache is None
+    assert all(rb.encode_cache is None for rb in sys_off.rebroadcasters)
     assert_fleets_identical(nodes_on, nodes_off)
     report_on, report_off = (sys_on.pipeline_report(),
                              sys_off.pipeline_report())

@@ -1,13 +1,16 @@
 """Batched fan-out delivery: one heap event per frame, same semantics.
 
 On a jitter-free link every matching receiver hears a multicast frame at
-the same instant, so the segment/switch can schedule ONE event that fans
+the same instant, so the segment/switch schedules ONE event that fans
 out to all of them instead of one event per copy.  These tests pin the
-contract: virtual arrival times, receiver sets, and seeded loss draws are
-bit-identical to per-receiver scheduling; jitter and fault injectors fall
-back transparently; and the batch sizes show up in telemetry.
+contract against the per-receiver oracle (``tests/oracles.py``, which
+splits every batch into one event per receiver): virtual arrival times,
+receiver sets, and seeded loss draws are bit-identical; jitter and fault
+injectors schedule per receiver; and the batch sizes show up in
+telemetry.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import EthernetSpeakerSystem
@@ -17,10 +20,14 @@ from repro.net import Datagram, EthernetSegment, Nic
 from repro.net.faults import FaultInjector
 from repro.net.switch import SwitchedSegment
 from repro.sim import Simulator
+from tests.oracles import per_receiver_delivery
 
 
-def build_lan(n_receivers, *, switched=False, telemetry=None, **kw):
+def build_lan(n_receivers, *, switched=False, telemetry=None,
+              batch_delivery=True, **kw):
     sim = Simulator()
+    if not batch_delivery:
+        per_receiver_delivery(sim)
     if telemetry is not None:
         sim.set_telemetry(telemetry)
     if switched:
@@ -73,6 +80,24 @@ def test_batched_matches_unbatched_under_seeded_loss(switched):
         logs[batched] = arrivals
     assert logs[True] == logs[False]
     assert 0 < len(logs[True]) < 8 * 50
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_fanout_follows_nic_order_and_seeded_loss_draws(switched):
+    # the oracle above splits the links' own batches, so pin the batch
+    # contents independently: one loss draw per receiver copy in NIC
+    # order from the link's seeded generator, survivors in NIC order
+    n, frames, rate, seed = 8, 50, 0.3, 42
+    sim, link, arrivals = build_lan(n, switched=switched,
+                                    loss_rate=rate, seed=seed)
+    blast(sim, link, frames=frames)
+    rng = np.random.default_rng(seed)
+    expected = [
+        (f, f"10.0.0.{i + 2}")
+        for f in range(frames) for i in range(n)
+        if not rng.random() < rate
+    ]
+    assert [(p[0], name) for _, name, p in arrivals] == expected
 
 
 def test_batching_executes_fewer_events():
@@ -139,9 +164,9 @@ def test_unicast_single_receiver_still_batches_cheaply():
 
 
 def _run_system(batched):
-    system = EthernetSpeakerSystem(
-        telemetry=False, batched_delivery=batched
-    )
+    system = EthernetSpeakerSystem(telemetry=False)
+    if not batched:
+        per_receiver_delivery(system.sim)
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY,
                                  compress="always")

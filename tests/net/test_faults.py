@@ -326,7 +326,7 @@ class StubToken:
 
 
 class StubCohort:
-    """Just enough cohort surface for ``deliver_cohort``."""
+    """Just enough cohort surface for the links' cohort-fate loop."""
 
     def __init__(self, sim, members):
         self.tokens = [StubToken(sim) for _ in range(members)]
@@ -339,6 +339,17 @@ class StubCohort:
         self.frames.append((dgram, delay, represented))
 
 
+def cohort_link(sim, inj, members):
+    """A segment with ``inj`` attached and one cohort seat.  The wire has
+    ``loss_rate=0`` and ``jitter=0``, so it draws nothing and every member
+    copy's fate comes from the injector alone."""
+    link = EthernetSegment(sim, latency=0.001, loss_rate=0.0, jitter=0.0)
+    inj.attach(link)
+    seat = Nic(link, "10.0.0.9", promiscuous=True, name="seat")
+    seat.cohort = StubCohort(sim, members)
+    return link, seat.cohort
+
+
 def test_detach_mid_cohort_batch_flushes_holds_exactly_once():
     """Detaching while member copies sit parked for reordering releases
     each held copy to its member token exactly once — no copy stranded,
@@ -347,10 +358,9 @@ def test_detach_mid_cohort_batch_flushes_holds_exactly_once():
     sim = Simulator()
     inj = FaultInjector(sim, reorder_rate=0.4, reorder_window=8,
                         reorder_hold=60.0, seed=6)
-    cohort = StubCohort(sim, members=5)
+    link, cohort = cohort_link(sim, inj, members=5)
     for i in range(12):
-        sim.schedule(i * 0.01, inj.deliver_cohort, cohort,
-                     make_dgram(i), 0.001)
+        sim.schedule(i * 0.01, link.transmit, make_dgram(i))
     sim.run(until=0.2)
     st_before = replace(inj.stats)
     parked = inj.pending
@@ -383,10 +393,9 @@ def test_hold_timer_after_detach_flush_is_a_noop_for_member_holds():
     sim = Simulator()
     inj = FaultInjector(sim, reorder_rate=0.999, reorder_window=8,
                         reorder_hold=0.3, seed=6)
-    cohort = StubCohort(sim, members=2)
+    link, cohort = cohort_link(sim, inj, members=2)
     for i in range(6):
-        sim.schedule(i * 0.01, inj.deliver_cohort, cohort,
-                     make_dgram(i), 0.001)
+        sim.schedule(i * 0.01, link.transmit, make_dgram(i))
     sim.run(until=0.1)
     parked = inj.pending
     assert parked > 0

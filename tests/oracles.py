@@ -1,0 +1,105 @@
+"""Test-only oracles: the slow routes production no longer selects.
+
+Production runs one path per job.  The differential suites and the
+speed races in ``benchmarks/`` compare it against these reference
+routes, each built to execute exactly what the per-receiver, scalar or
+per-object implementation does (same results, same simulator events):
+
+* :func:`per_receiver_delivery` splits every fan-out batch into one
+  delivery event per receiver;
+* :func:`scalar_codec_kernels` and :class:`ScalarCodec` force the codecs'
+  batch kernels onto their ``_reference_*`` fallback loops;
+* :func:`per_object_cohort` builds N ordinary speakers behind the
+  cohort member API.
+
+A cache-off arm needs no oracle: pass ``decode_cache=None`` to
+``add_speaker`` or ``encode_cache=None`` to ``add_rebroadcaster``.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack, contextmanager
+from typing import List
+from unittest import mock
+
+from repro.codec import mp3like, vorbislike
+from repro.codec.batch import BatchFallback
+from repro.net.segment import deliver_batch
+
+
+def per_receiver_delivery(sim):
+    """Make ``sim`` schedule each ``deliver_batch(nics, dgram)`` event as
+    one ``nic.deliver`` event per NIC, in NIC order: the same delivery
+    times, order and event count as a link with no batching."""
+    schedule = sim.schedule_transient
+
+    def split(delay, fn, *args):
+        if fn is not deliver_batch:
+            return schedule(delay, fn, *args)
+        nics, dgram = args
+        for nic in nics:
+            schedule(delay, nic.deliver, dgram)
+
+    sim.schedule_transient = split
+
+
+def _refuse(*args, **kwargs):
+    raise BatchFallback("scalar oracle")
+
+
+@contextmanager
+def scalar_codec_kernels(encode: bool = True, decode: bool = True):
+    """Inside the block, every VorbisLike/Mp3Like encode (and/or decode)
+    takes the ``BatchFallback`` route onto the scalar reference loops."""
+    names = [name for name, on in (("encode_bands_batched", encode),
+                                   ("decode_bands_batched", decode)) if on]
+    with ExitStack() as stack:
+        for module in (vorbislike, mp3like):
+            for name in names:
+                stack.enter_context(mock.patch.object(module, name, _refuse))
+        yield
+
+
+class ScalarCodec:
+    """``codec`` with every encode and decode on the reference loops."""
+
+    def __init__(self, codec):
+        self.codec = codec
+
+    def encode_block(self, samples):
+        with scalar_codec_kernels():
+            return self.codec.encode_block(samples)
+
+    def decode_block(self, data):
+        with scalar_codec_kernels():
+            return self.codec.decode_block(data)
+
+
+class PerObjectCohort:
+    """N ordinary speakers behind the cohort member API.  ``tokens`` are
+    the :class:`~repro.core.system.SpeakerNode`\\ s themselves, which
+    ``schedule_fault`` takes as it takes a cohort member."""
+
+    def __init__(self, nodes: List):
+        self.nodes = nodes
+        self.tokens = nodes
+
+    def member_stats(self, i: int):
+        return self.nodes[i].speaker.stats
+
+    def member_play_log(self, i: int):
+        return self.nodes[i].speaker.stats.play_log
+
+    def member_write_offsets(self, i: int):
+        return self.nodes[i].speaker.stats.write_offsets
+
+
+def per_object_cohort(system, channel, members: int) -> PerObjectCohort:
+    """``system.add_speaker_cohort(channel, members)`` expanded into
+    ``members`` ordinary :meth:`add_speaker` nodes with default
+    arguments, named like the cohort's members."""
+    name = f"cohort{len(system.cohorts)}"
+    return PerObjectCohort([
+        system.add_speaker(channel=channel, name=f"{name}-m{i}")
+        for i in range(members)
+    ])
