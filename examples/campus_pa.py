@@ -4,8 +4,8 @@
 Twelve Ethernet Speakers across three zones play background music from a
 shared channel; rooms differ in ambient noise, so each speaker's
 auto-volume controller (§5.2) picks its own gain.  Mid-program, the
-control station overrides every speaker onto the announcement channel
-(§5.3) and releases them afterwards.
+fleet controller overrides every speaker onto the announcement channel
+with ACMP connects (§5.3) and releases them afterwards.
 
 Run:  python examples/campus_pa.py
 """
@@ -14,7 +14,7 @@ from repro.audio import AudioEncoding, AudioParams, announcement, music
 from repro.audio.room import AmbientProfile, Room
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
-from repro.mgmt import AutoVolumeController, ControlStation, ManagementAgent
+from repro.mgmt import AutoVolumeController
 
 PA_PARAMS = AudioParams(AudioEncoding.SLINEAR16, 22050, 1)
 
@@ -46,7 +46,7 @@ def main() -> None:
             room = Room(AmbientProfile.constant(noise), coupling=0.5)
             node = system.add_speaker(channel=music_ch,
                                       name=f"{zone}-{i}", room=room)
-            ManagementAgent(node.speaker).start()
+            system.advertise_speaker(node)
             ctl = AutoVolumeController(node.speaker, room, mode="music")
             ctl.start()
             speakers.append((zone, noise, node))
@@ -56,15 +56,13 @@ def main() -> None:
     program = music(20.0, 22050, seed=9)
     system.play_pcm(producer, program, PA_PARAMS, source_paced=True)
 
-    # at t=8 the control station cuts in an announcement on every speaker
-    console = system.add_producer(name="console", housekeeping=False)
-    station = ControlStation(console.machine)
+    # at t=8 the controller cuts in an announcement on every speaker
+    controller = system.add_controller()
     msg = announcement(4.0, 22050)
     system.play_pcm(announcer, msg, PA_PARAMS, source_paced=True,
                     start_after=8.2)
-    system.sim.schedule(8.0, station.override,
-                        announce_ch.group_ip, announce_ch.port)
-    system.sim.schedule(13.0, station.release)
+    system.sim.schedule(8.0, system.override, controller, announce_ch)
+    system.sim.schedule(13.0, system.release, controller)
 
     system.run(until=24.0)
 

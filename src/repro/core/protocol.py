@@ -36,7 +36,7 @@ TYPE_ANNOUNCE = 3
 # the ATDECC-style control plane (after IEEE 1722.1): discovery,
 # enumeration, and connection management ride the same wire format
 TYPE_ADP = 4    # entity advertisement (AVAILABLE / DEPARTING / DISCOVER)
-TYPE_AECP = 5   # entity command/response (descriptor enumeration)
+TYPE_AECP = 5   # entity command/response (descriptor read, control set)
 TYPE_ACMP = 6   # talker->listener connect/disconnect transactions
 # application-layer FEC for WAN hops: one parity frame protecting a
 # sliding group of data frames, repaired receiver-side with zero reverse
@@ -96,8 +96,10 @@ ENTITY_CONTROLLER = 5
 AECP_COMMAND = 0
 AECP_RESPONSE = 1
 AECP_READ_DESCRIPTOR = 0
+AECP_SET_CONTROL = 1      # payload: archive of control values ({"gain": ...})
 AECP_OK = 0
 AECP_NO_SUCH_DESCRIPTOR = 1
+AECP_BAD_ARGUMENTS = 2
 
 # -- ACMP message/status codes ------------------------------------------------
 ACMP_CONNECT_RX_COMMAND = 0
@@ -275,10 +277,12 @@ class AdpPacket:
 class AecpPacket:
     """AECP-style entity command/response (after IEEE 1722.1 §9).
 
-    The one implemented command is ``READ_DESCRIPTOR``: the controller
+    Two commands are implemented.  ``READ_DESCRIPTOR``: the controller
     asks an entity for its descriptor (channels served, gain, room, LAN)
-    and the entity answers with an archive blob in ``payload``.  The
-    common-header ``seq`` is the transaction id responses echo.
+    and the entity answers with an archive blob in ``payload``.
+    ``SET_CONTROL``: the command's ``payload`` is an archive of control
+    values (``{"gain": ...}``) and the response echoes what was applied.
+    The common-header ``seq`` is the transaction id responses echo.
     """
 
     entity_id: int            # target (command) / responder (response)

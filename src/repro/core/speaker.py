@@ -283,7 +283,7 @@ class EthernetSpeaker:
     def hang(self, freeze_cpu: bool = True) -> None:
         """Wedge the node: the process stops consuming its socket and
         servicing timers without exiting.  With ``freeze_cpu`` the whole
-        machine halts (heartbeat agents starve too)."""
+        machine halts (its ADP advertiser starves too)."""
         if self._proc is not None and self._proc.alive:
             self._proc.freeze()
         if freeze_cpu:

@@ -176,6 +176,9 @@ class EthernetSpeakerSystem:
         self.advertisers: List[EntityAdvertiser] = []
         self.mgmt_agents: List[ManagementAgent] = []
         self.mgmt_lan: Optional[EthernetSegment] = None
+        #: entity id -> channel a speaker was on when :meth:`override`
+        #: moved it (``None``: it was parked); :meth:`release` restores
+        self._overridden: Dict[int, Optional[ChannelConfig]] = {}
         #: primary producer id -> standby producer nodes that must receive
         #: a mirror of every source feed played into the primary
         self._mirrors: Dict[int, List[ProducerNode]] = {}
@@ -570,55 +573,48 @@ class EthernetSpeakerSystem:
 
     def add_supervisor(
         self,
-        heartbeat_interval: float = 0.5,
-        miss_threshold: int = 3,
         restart_delay: Optional[float] = 0.5,
         name: str = "",
     ) -> Supervisor:
-        """A started :class:`~repro.mgmt.supervisor.Supervisor` on this
-        system's clock; register nodes with :meth:`supervise_speaker` /
-        :meth:`supervise_rebroadcaster` (or ``supervisor.watch``)."""
+        """A :class:`~repro.mgmt.supervisor.Supervisor` on this system's
+        clock.  Register advertised nodes with :meth:`supervise_speaker`
+        / :meth:`supervise_rebroadcaster` and bind it to a controller
+        (``add_controller(supervisor=...)``): lease expiries seen there
+        are its only input."""
         supervisor = Supervisor(
             self.sim,
-            heartbeat_interval=heartbeat_interval,
-            miss_threshold=miss_threshold,
             restart_delay=restart_delay,
             name=name or f"supervisor{len(self.supervisors)}",
             telemetry=self.telemetry,
         )
-        supervisor.start()
         self.supervisors.append(supervisor)
         return supervisor
 
-    def supervise_speaker(
-        self, supervisor: Supervisor, node: SpeakerNode, name: str = "",
-    ):
-        """Heartbeat ``node`` and cold-restart it when it goes silent."""
-        speaker = node.speaker
-
-        def probe() -> bool:
-            return (
-                speaker._proc is not None
-                and speaker._proc.alive
-                and not speaker._proc.frozen
+    def supervise_speaker(self, supervisor: Supervisor, node: SpeakerNode):
+        """Cold-restart ``node`` when its ADP lease lapses.  The
+        supervisor re-checks the node with its advertiser's probe."""
+        if node.advertiser is None:
+            raise ValueError(
+                f"{node.speaker.name} is not advertised; call "
+                "advertise_speaker() first"
             )
-
         return supervisor.watch(
-            name or speaker.name, node.machine, probe,
-            restart=speaker.cold_restart,
+            node.advertiser.name, node.advertiser.probe,
+            restart=node.speaker.cold_restart,
         )
 
     def supervise_rebroadcaster(
-        self, supervisor: Supervisor, rb: Rebroadcaster, name: str = "",
+        self, supervisor: Supervisor, rb: Rebroadcaster,
     ):
-        """Heartbeat a producer and restart it (epoch bumped) on silence."""
-
-        def probe() -> bool:
-            return rb.alive and not rb._proc.frozen
-
+        """Restart a producer (epoch bumped) when its ADP lease lapses."""
+        advertiser = getattr(rb, "advertiser", None)
+        if advertiser is None:
+            raise ValueError(
+                f"{rb.machine.name}/rb-ch{rb.channel.channel_id} is not "
+                "advertised; call advertise_rebroadcaster() first"
+            )
         return supervisor.watch(
-            name or f"{rb.machine.name}/rb-ch{rb.channel.channel_id}",
-            rb.machine, probe, restart=rb.restart,
+            advertiser.name, advertiser.probe, restart=rb.restart,
         )
 
     # -- the dynamic control plane (ATDECC-style) --------------------------------
@@ -850,6 +846,36 @@ class EthernetSpeakerSystem:
                 "advertise_speaker() first"
             )
         return controller.disconnect(node.entity_id)
+
+    def override(
+        self, controller: FleetController, channel: ChannelConfig
+    ) -> List[Process]:
+        """Central override (§5.3, the crew announcement): CONNECT every
+        speaker the controller sees live to ``channel``, remembering the
+        channel each was on for :meth:`release`.  Returns the ACMP
+        transaction processes."""
+        live = {rec.entity_id for rec in controller.available()}
+        procs = []
+        for node in self.speakers:
+            if node.entity_id in live:
+                self._overridden.setdefault(node.entity_id, node.channel)
+                procs.append(self.connect_speaker(controller, node, channel))
+        return procs
+
+    def release(self, controller: FleetController) -> List[Process]:
+        """End of the override: every overridden speaker goes back to
+        the channel it was on (or is parked again) over ACMP."""
+        procs = []
+        for node in self.speakers:
+            if node.entity_id not in self._overridden:
+                continue
+            prior = self._overridden.pop(node.entity_id)
+            procs.append(
+                self.connect_speaker(controller, node, prior)
+                if prior is not None
+                else self.disconnect_speaker(controller, node)
+            )
+        return procs
 
     def schedule_fault(
         self,
@@ -1154,9 +1180,6 @@ class EthernetSpeakerSystem:
             rejoins=len(all_gaps),
             rejoin_gap=_snap("speaker.rejoin_gap"),
             max_rejoin_gap=max(all_gaps, default=0.0),
-            missed_heartbeats=sum(
-                s.stats.missed_heartbeats for s in self.supervisors
-            ),
             node_restarts=sum(
                 s.stats.restarts for s in self.supervisors
             ),

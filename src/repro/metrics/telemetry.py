@@ -444,7 +444,6 @@ class PipelineReport:
     rejoins: int = 0              # playback resumptions after an outage
     rejoin_gap: dict = field(default_factory=dict)  # histogram snapshot
     max_rejoin_gap: float = 0.0   # worst audible hole (from speaker stats)
-    missed_heartbeats: int = 0    # supervisor scans that found a node silent
     node_restarts: int = 0        # restarts the supervisors drove
     #: vectorized speaker cohorts (repro.core.cohort.SpeakerCohort)
     cohort_members: int = 0       # receivers represented by cohort rows
@@ -628,7 +627,7 @@ class PipelineReport:
                  round(self.encode_cache_hit_rate, 4)],
             ]
         if (self.failovers or self.standdowns or self.rejoins
-                or self.missed_heartbeats or self.node_restarts
+                or self.node_restarts
                 or self.epoch_resyncs):
             rows += [
                 ["failovers (takeovers)", self.failovers],
@@ -636,7 +635,6 @@ class PipelineReport:
                 ["epoch resyncs", self.epoch_resyncs],
                 ["rejoins", self.rejoins],
                 ["max rejoin gap (s)", round(self.max_rejoin_gap, 4)],
-                ["missed heartbeats", self.missed_heartbeats],
                 ["node restarts", self.node_restarts],
             ]
         if self.cohort_members:

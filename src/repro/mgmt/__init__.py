@@ -6,21 +6,22 @@
   programs are being multicast, rather than having to switch channels to
   monitor the audio transmissions".  Includes the listener-driven
   suspension idea (the MSNIP stand-in).
-* :mod:`repro.mgmt.remote` — channel selection and central override
-  (§5.3): "movies shown on TV sets on airplane seats can be overridden by
-  crew announcements".
-* :mod:`repro.mgmt.snmp` — the SNMP MIB sketch of §5.3: an agent on each
-  speaker, a manager that can walk and set it.
+* :mod:`repro.mgmt.discovery` / :mod:`repro.mgmt.controller` — the
+  ATDECC-style dynamic control plane and the one control transport:
+  ADP entity advertisement with valid_time leases and serial-16
+  available_index, AECP descriptor reads and gain sets, and ACMP
+  connect/disconnect transactions (see docs/control-plane.md).
+* :mod:`repro.mgmt.remote` — the speaker-side agent answering AECP/ACMP,
+  which carries channel selection, volume and central override (§5.3):
+  "movies shown on TV sets on airplane seats can be overridden by crew
+  announcements".
+* :mod:`repro.mgmt.supervisor` — the watchdog/health registry: ADP lease
+  expiry (the one liveness signal) marks a node down and drives a
+  guarded restart (the self-healing layer; see docs/faults.md).
+* :mod:`repro.mgmt.snmp` — the SNMP MIB sketch of §5.3 as a read-only
+  view: an agent on each speaker, a manager that can get and walk it.
 * :mod:`repro.mgmt.volume` — automatic volume from ambient noise (§5.2),
   using the microphone model in :mod:`repro.audio.room`.
-* :mod:`repro.mgmt.supervisor` — the watchdog/health registry: per-node
-  heartbeats, missed-beat detection, driven restarts (the self-healing
-  layer; see docs/faults.md).
-* :mod:`repro.mgmt.discovery` / :mod:`repro.mgmt.controller` — the
-  ATDECC-style dynamic control plane: ADP entity advertisement with
-  valid_time leases and serial-16 available_index, AECP descriptor
-  enumeration, and ACMP connect/disconnect transactions (see
-  docs/control-plane.md).
 """
 
 from repro.mgmt.catalog import CatalogAnnouncer, CatalogListener, CATALOG_GROUP, CATALOG_PORT
@@ -32,7 +33,7 @@ from repro.mgmt.discovery import (
     lease_deadline,
     lease_expired,
 )
-from repro.mgmt.remote import ControlStation, ManagementAgent
+from repro.mgmt.remote import ManagementAgent
 from repro.mgmt.remotecontrol import RemoteControl
 from repro.mgmt.snmp import MibTree, SnmpAgent, SnmpManager, ES_MIB_BASE
 from repro.mgmt.supervisor import NodeHealth, Supervisor, SupervisorStats
@@ -53,7 +54,6 @@ __all__ = [
     "CatalogListener",
     "CATALOG_GROUP",
     "CATALOG_PORT",
-    "ControlStation",
     "ManagementAgent",
     "RemoteControl",
     "MibTree",

@@ -12,20 +12,22 @@ by polling:
   never resurrect an old view.  ``ENTITY_DEPARTING`` retires a record
   immediately; anything else ages out when its advertised ``valid_time``
   lease lapses.
-* **AECP enumeration** — the controller reads an entity's descriptor
-  (channels served, gain, name) over the management request path with a
-  seeded-timeout retry loop.
+* **AECP** — the controller reads an entity's descriptor (channels
+  served, gain, name) with READ_DESCRIPTOR and sets its gain with
+  SET_CONTROL.
 * **ACMP connection management** — tune/retune becomes a
-  CONNECT_RX/DISCONNECT_RX transaction: command to the listener's
-  management agent, response matched by sequence number, seeded
-  exponential-ish timeout back-off, bounded retries, failure counted —
-  never silent.
+  CONNECT_RX/DISCONNECT_RX transaction.
 
-Lease expiry doubles as a health signal: when a supervisor is bound via
-:meth:`FleetController.bind_supervisor`, an expired lease calls
-``supervisor.notify_lease_expired(name)``, which schedules the same
-guarded restart path heartbeat loss does (the ``restart_pending`` latch
-prevents double restarts when both signals fire).
+Every AECP and ACMP command runs through one transaction loop: command
+to the entity's management agent, response matched by sequence number,
+seeded linear timeout back-off, bounded retries, failure counted —
+never silent.
+
+Lease expiry is the fleet's one liveness signal: when a supervisor is
+bound via :meth:`FleetController.bind_supervisor`, an expired lease
+calls ``supervisor.notify_lease_expired(name)``, which schedules the
+guarded restart, and an entity advertising again after its lease lapsed
+calls ``supervisor.notify_returned(name)``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.core.protocol import (
     AECP_OK,
     AECP_READ_DESCRIPTOR,
     AECP_RESPONSE,
+    AECP_SET_CONTROL,
     ENTITY_CONTROLLER,
     AcmpPacket,
     AdpPacket,
@@ -63,13 +66,18 @@ from repro.mgmt.discovery import (
     lease_expired,
 )
 from repro.metrics.telemetry import get_telemetry
-from repro.platform.archive import unpack_archive
+from repro.platform.archive import pack_archive, unpack_archive
 from repro.sim.process import Process, Timeout
 
 #: registry entity states
 ENT_AVAILABLE = "available"
 ENT_DEPARTED = "departed"
 ENT_EXPIRED = "expired"
+
+#: upper bound of the seeded multiplicative jitter on transaction
+#: timeouts: each attempt waits ``txn_timeout * (attempt + 1) * (1 + U)``
+#: with ``U`` uniform in ``[0, TIMEOUT_JITTER)``
+TIMEOUT_JITTER = 0.5
 
 
 @dataclass
@@ -115,7 +123,9 @@ class ControllerStats:
     acmp_disconnects: int = 0
     acmp_retries: int = 0
     acmp_failures: int = 0         # transactions that exhausted retries
-    pruned: int = 0                # dead records garbage-collected
+    gain_sets: int = 0             # AECP SET_CONTROL transactions completed
+    gain_set_retries: int = 0
+    gain_set_failures: int = 0
     restarts: int = 0              # controller cold restarts
     discovers_sent: int = 0        # ENTITY_DISCOVER solicitations sent
 
@@ -137,12 +147,9 @@ class FleetController:
         group: str = DISCOVERY_GROUP,
         port: int = DISCOVERY_PORT,
         check_interval: float = 0.25,
-        default_valid_time: float = DEFAULT_VALID_TIME,
         txn_timeout: float = 0.25,
         txn_retries: int = 3,
-        timeout_jitter: float = 0.5,
         seed: int = 0,
-        prune_after: Optional[float] = None,
         auto_enumerate: bool = False,
         telemetry=None,
     ):
@@ -152,12 +159,9 @@ class FleetController:
         self.group = group
         self.port = port
         self.check_interval = check_interval
-        self.default_valid_time = default_valid_time
         self.txn_timeout = txn_timeout
         self.txn_retries = txn_retries
-        self.timeout_jitter = timeout_jitter
         self.seed = seed
-        self.prune_after = prune_after
         self.auto_enumerate = auto_enumerate
         self.stack = machine.control_stack
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
@@ -215,8 +219,8 @@ class FleetController:
         return self._listener is not None and self._listener.alive
 
     def bind_supervisor(self, supervisor) -> None:
-        """Route lease expiries into ``supervisor.notify_lease_expired``
-        keyed by the entity's advertised name."""
+        """Route lease expiries and returns into the supervisor, keyed by
+        the entity's advertised name."""
         self.supervisor = supervisor
 
     # -- registry queries ----------------------------------------------------
@@ -321,6 +325,8 @@ class FleetController:
             self.entities[pkt.entity_id] = rec
             self.stats.adp_advertises += 1
             self._c_adv.inc()
+            if returning and self.supervisor is not None:
+                self.supervisor.notify_returned(rec.name)
             if self.on_available is not None:
                 self.on_available(rec, returning)
             if self.auto_enumerate and rec.mgmt_port:
@@ -335,28 +341,20 @@ class FleetController:
 
     def _scan_leases(self) -> None:
         now = self.sim.now
-        dead: List[int] = []
         for rec in self.entities.values():
-            if rec.state == ENT_AVAILABLE:
-                valid = rec.valid_time or self.default_valid_time
-                if lease_expired(now, rec.last_seen, valid):
-                    rec.state = ENT_EXPIRED
-                    rec.expired_at = now
-                    self.stats.expiries += 1
-                    self._c_exp.inc()
-                    if self.supervisor is not None:
-                        self.supervisor.notify_lease_expired(rec.name)
-                    if self.on_expired is not None:
-                        self.on_expired(rec)
-            if (
-                self.prune_after is not None
-                and rec.state in (ENT_DEPARTED, ENT_EXPIRED)
-                and now - rec.last_seen > self.prune_after
-            ):
-                dead.append(rec.entity_id)
-        for entity_id in dead:
-            del self.entities[entity_id]
-            self.stats.pruned += 1
+            if rec.state != ENT_AVAILABLE:
+                continue
+            # a foreign advert may carry no lease of its own
+            valid = rec.valid_time or DEFAULT_VALID_TIME
+            if lease_expired(now, rec.last_seen, valid):
+                rec.state = ENT_EXPIRED
+                rec.expired_at = now
+                self.stats.expiries += 1
+                self._c_exp.inc()
+                if self.supervisor is not None:
+                    self.supervisor.notify_lease_expired(rec.name)
+                if self.on_expired is not None:
+                    self.on_expired(rec)
         self._txns = [t for t in self._txns if t.alive]
 
     # -- transactions --------------------------------------------------------
@@ -364,33 +362,37 @@ class FleetController:
     def _txn_deadline(self, attempt: int) -> float:
         """Seeded retry timeout: linear back-off plus deterministic
         jitter drawn from the controller's RNG."""
-        jitter = 1.0 + self._rng.random() * self.timeout_jitter
+        jitter = 1.0 + self._rng.random() * TIMEOUT_JITTER
         return self.txn_timeout * (attempt + 1) * jitter
 
-    def enumerate(self, entity_id: int) -> Process:
-        """Spawn an AECP READ_DESCRIPTOR transaction; the process result
-        is ``True`` on success."""
-        rec = self.entities[entity_id]
-        proc = self.machine.spawn(
-            self._enumerate(rec), name=f"{self.name}/aecp:{rec.name}"
-        )
+    def _spawn(self, txn, label: str, rec: EntityRecord) -> Process:
+        proc = self.machine.spawn(txn, name=f"{self.name}/{label}:{rec.name}")
         self._txns.append(proc)
         return proc
 
-    def _enumerate(self, rec: EntityRecord):
+    def _transact(
+        self,
+        rec: EntityRecord,
+        build: Callable[[int], object],
+        accept: Callable[[object], object],
+        retries: str,
+    ):
+        """The one command/response loop behind every AECP and ACMP
+        transaction.  ``build(seq)`` makes the command PDU;
+        ``accept(pkt)``, offered only PDUs echoing that ``seq``, returns
+        ``None`` for anything but the matching response, ``False`` for a
+        refusal, and the result otherwise.  Each resend counts into ``stats.<retries>``.
+        Returns the accepted result or refusal, or ``None`` once every
+        attempt has timed out."""
         sock = self.stack.socket()
         try:
             for attempt in range(self.txn_retries):
                 if attempt:
-                    self.stats.enumeration_retries += 1
+                    setattr(self.stats, retries,
+                            getattr(self.stats, retries) + 1)
                 self._seq += 1
                 seq = self._seq
-                cmd = AecpPacket(
-                    entity_id=rec.entity_id,
-                    message_type=AECP_COMMAND,
-                    command=AECP_READ_DESCRIPTOR,
-                    seq=seq,
-                )
+                cmd = build(seq)
                 yield self.machine.cpu.run(
                     self.PROCESS_CYCLES, domain="user"
                 )
@@ -408,28 +410,87 @@ class FleetController:
                         pkt = parse_packet(msg.payload)
                     except ProtocolError:
                         continue
-                    if (
-                        isinstance(pkt, AecpPacket)
-                        and pkt.message_type == AECP_RESPONSE
-                        and pkt.seq == seq
-                        and pkt.entity_id == rec.entity_id
-                        and pkt.status == AECP_OK
-                    ):
-                        try:
-                            fields = unpack_archive(bytes(pkt.payload))
-                        except ValueError:
-                            continue
-                        rec.descriptor = {
-                            k: v.decode("utf-8", errors="replace")
-                            for k, v in fields.items()
-                        }
-                        self.stats.enumerations += 1
-                        self._c_enum.inc()
-                        return True
-            self.stats.enumeration_failures += 1
-            return False
+                    if pkt.seq != seq:
+                        continue
+                    result = accept(pkt)
+                    if result is not None:
+                        return result
+            return None
         finally:
             sock.close()
+
+    def _aecp(
+        self, rec: EntityRecord, command: int, fields, retries: str
+    ):
+        """An AECP command transaction; returns the response's archive
+        fields (decoded), or a falsy value on refusal or timeout."""
+
+        def build(seq: int) -> AecpPacket:
+            return AecpPacket(
+                entity_id=rec.entity_id,
+                message_type=AECP_COMMAND,
+                command=command,
+                payload=pack_archive(fields) if fields else b"",
+                seq=seq,
+            )
+
+        def accept(pkt):
+            if not (
+                isinstance(pkt, AecpPacket)
+                and pkt.message_type == AECP_RESPONSE
+                and pkt.command == command
+                and pkt.entity_id == rec.entity_id
+            ):
+                return None
+            if pkt.status != AECP_OK:
+                return False
+            try:
+                reply = unpack_archive(bytes(pkt.payload))
+            except ValueError:
+                return None
+            return {
+                k: v.decode("utf-8", errors="replace")
+                for k, v in reply.items()
+            }
+
+        return (yield from self._transact(rec, build, accept, retries))
+
+    def enumerate(self, entity_id: int) -> Process:
+        """Spawn an AECP READ_DESCRIPTOR transaction; the process result
+        is ``True`` on success."""
+        rec = self.entities[entity_id]
+        return self._spawn(self._enumerate(rec), "aecp", rec)
+
+    def _enumerate(self, rec: EntityRecord):
+        descriptor = yield from self._aecp(
+            rec, AECP_READ_DESCRIPTOR, None, "enumeration_retries"
+        )
+        if not descriptor:
+            self.stats.enumeration_failures += 1
+            return False
+        rec.descriptor = descriptor
+        self.stats.enumerations += 1
+        self._c_enum.inc()
+        return True
+
+    def set_gain(self, entity_id: int, gain: float) -> Process:
+        """Spawn an AECP SET_CONTROL transaction setting the entity's
+        output gain; the process result is ``True`` on success."""
+        rec = self.entities[entity_id]
+        return self._spawn(self._set_gain(rec, gain), "aecp-gain", rec)
+
+    def _set_gain(self, rec: EntityRecord, gain: float):
+        applied = yield from self._aecp(
+            rec, AECP_SET_CONTROL, {"gain": repr(gain).encode()},
+            "gain_set_retries",
+        )
+        if not applied:
+            self.stats.gain_set_failures += 1
+            return False
+        if rec.descriptor is not None:
+            rec.descriptor.update(applied)
+        self.stats.gain_sets += 1
+        return True
 
     def connect(
         self,
@@ -442,30 +503,26 @@ class FleetController:
         """Spawn an ACMP CONNECT_RX transaction tuning the listener to a
         talker's stream; the process result is ``True`` on success."""
         rec = self.entities[listener_entity_id]
-        proc = self.machine.spawn(
+        return self._spawn(
             self._acmp(
                 rec, ACMP_CONNECT_RX_COMMAND,
                 group_ip, port, channel_id, talker_entity_id,
             ),
-            name=f"{self.name}/acmp-connect:{rec.name}",
+            "acmp-connect", rec,
         )
-        self._txns.append(proc)
-        return proc
 
     def disconnect(
         self, listener_entity_id: int, talker_entity_id: int = 0
     ) -> Process:
         """Spawn an ACMP DISCONNECT_RX transaction parking the listener."""
         rec = self.entities[listener_entity_id]
-        proc = self.machine.spawn(
+        return self._spawn(
             self._acmp(
                 rec, ACMP_DISCONNECT_RX_COMMAND,
                 "0.0.0.0", 0, 0, talker_entity_id,
             ),
-            name=f"{self.name}/acmp-disconnect:{rec.name}",
+            "acmp-disconnect", rec,
         )
-        self._txns.append(proc)
-        return proc
 
     def _acmp(
         self,
@@ -481,61 +538,42 @@ class FleetController:
             if message_type == ACMP_CONNECT_RX_COMMAND
             else ACMP_DISCONNECT_RX_RESPONSE
         )
-        sock = self.stack.socket()
-        try:
-            for attempt in range(self.txn_retries):
-                if attempt:
-                    self.stats.acmp_retries += 1
-                self._seq += 1
-                seq = self._seq
-                cmd = AcmpPacket(
-                    message_type=message_type,
-                    talker_entity_id=talker_entity_id,
-                    listener_entity_id=rec.entity_id,
-                    group_ip=group_ip,
-                    port=port,
-                    channel_id=channel_id,
-                    seq=seq,
-                )
-                yield self.machine.cpu.run(
-                    self.PROCESS_CYCLES, domain="user"
-                )
-                sock.sendto(cmd.encode(), (rec.ip, rec.mgmt_port))
-                deadline = self.sim.now + self._txn_deadline(attempt)
-                while True:
-                    remaining = deadline - self.sim.now
-                    if remaining <= 0:
-                        break
-                    try:
-                        msg = yield Timeout(sock.recv(), remaining)
-                    except TimeoutError:
-                        break
-                    try:
-                        pkt = parse_packet(msg.payload)
-                    except ProtocolError:
-                        continue
-                    if (
-                        isinstance(pkt, AcmpPacket)
-                        and pkt.message_type == want
-                        and pkt.seq == seq
-                        and pkt.listener_entity_id == rec.entity_id
-                        and pkt.status == ACMP_OK
-                    ):
-                        if message_type == ACMP_CONNECT_RX_COMMAND:
-                            rec.connected = (group_ip, port, channel_id)
-                            self.stats.acmp_connects += 1
-                            self._c_conn.inc()
-                            if self.on_connected is not None:
-                                self.on_connected(rec, channel_id)
-                        else:
-                            rec.connected = None
-                            rec.channel_id = 0
-                            self.stats.acmp_disconnects += 1
-                            if self.on_disconnected is not None:
-                                self.on_disconnected(rec)
-                        return True
+
+        def build(seq: int) -> AcmpPacket:
+            return AcmpPacket(
+                message_type=message_type,
+                talker_entity_id=talker_entity_id,
+                listener_entity_id=rec.entity_id,
+                group_ip=group_ip,
+                port=port,
+                channel_id=channel_id,
+                seq=seq,
+            )
+
+        def accept(pkt):
+            if (
+                isinstance(pkt, AcmpPacket)
+                and pkt.message_type == want
+                and pkt.listener_entity_id == rec.entity_id
+            ):
+                return pkt.status == ACMP_OK
+            return None
+
+        ok = yield from self._transact(rec, build, accept, "acmp_retries")
+        if not ok:
             self.stats.acmp_failures += 1
             self._c_fail.inc()
             return False
-        finally:
-            sock.close()
+        if message_type == ACMP_CONNECT_RX_COMMAND:
+            rec.connected = (group_ip, port, channel_id)
+            self.stats.acmp_connects += 1
+            self._c_conn.inc()
+            if self.on_connected is not None:
+                self.on_connected(rec, channel_id)
+        else:
+            rec.connected = None
+            rec.channel_id = 0
+            self.stats.acmp_disconnects += 1
+            if self.on_disconnected is not None:
+                self.on_disconnected(rec)
+        return True

@@ -9,7 +9,8 @@ discovery group with
 
 * a **valid_time lease**: a registry that hears nothing for longer than
   the advertised lease drops the entity on its own.  Zombies age out at
-  lease expiry — no supervisor heartbeat required;
+  lease expiry, and the expiry is the fleet's one liveness signal: a
+  bound supervisor restarts the node (:mod:`repro.mgmt.supervisor`);
 * a wrapping serial-16 **available_index** (compared with the same rule
   as the producer epoch, :func:`repro.core.protocol.index_newer`) bumped
   on every advertisement and on state changes, so a stale or replayed
@@ -183,16 +184,6 @@ class EntityAdvertiser:
             )
             self.stats.departs += 1
         self.stop()
-
-    def bump(self) -> None:
-        """External state change (driven restart, failover): advance the
-        index and advertise immediately instead of waiting out the tick.
-        Management-plane callers only — no CPU is charged here."""
-        if self._sock is None or not self.probe():
-            return
-        self.available_index = (self.available_index + 2) % AVAILABLE_INDEX_MOD
-        self.stats.state_bumps += 1
-        self._transmit(self._sock)
 
     def _packet(self, message_type: int) -> AdpPacket:
         self._seq += 1

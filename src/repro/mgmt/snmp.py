@@ -4,10 +4,13 @@
 be carried out on ESs and create an SNMP MIB to allow any NMS console to
 manage ESs."
 
-This is GET/GETNEXT/SET over UDP with the archive framing — not ASN.1/BER
+This is GET/GETNEXT over UDP with the archive framing — not ASN.1/BER
 (nothing in the experiments needs that fidelity) — but the data model is a
-real OID tree with lexicographic GETNEXT walking, read-only vs read-write
-objects, and an agent/manager pair.
+real OID tree with lexicographic GETNEXT walking and an agent/manager
+pair.  The MIB is a read-only view: an NMS console can watch a speaker
+here, but every change (tune, volume, override) goes over ACMP/AECP from
+the :class:`repro.mgmt.controller.FleetController`, and a SET is refused
+as an unknown operation.
 """
 
 from __future__ import annotations
@@ -34,25 +37,17 @@ def format_oid(oid: Oid) -> str:
 
 
 class MibTree:
-    """OID -> (getter, setter) with ordered traversal."""
+    """OID -> getter with ordered traversal."""
 
     def __init__(self):
-        self._objects: Dict[Oid, Tuple[Callable[[], bytes],
-                                       Optional[Callable[[bytes], None]]]] = {}
+        self._objects: Dict[Oid, Callable[[], bytes]] = {}
 
-    def register(
-        self,
-        oid: str,
-        getter: Callable[[], bytes],
-        setter: Optional[Callable[[bytes], None]] = None,
-    ) -> None:
-        self._objects[parse_oid(oid)] = (getter, setter)
+    def register(self, oid: str, getter: Callable[[], bytes]) -> None:
+        self._objects[parse_oid(oid)] = getter
 
     def get(self, oid: str) -> Optional[bytes]:
-        entry = self._objects.get(parse_oid(oid))
-        if entry is None:
-            return None
-        return entry[0]()
+        getter = self._objects.get(parse_oid(oid))
+        return getter() if getter is not None else None
 
     def get_next(self, oid: str) -> Optional[Tuple[str, bytes]]:
         """The first object lexicographically after ``oid``."""
@@ -61,24 +56,17 @@ class MibTree:
         if not following:
             return None
         nxt = following[0]
-        return format_oid(nxt), self._objects[nxt][0]()
-
-    def set(self, oid: str, value: bytes) -> bool:
-        entry = self._objects.get(parse_oid(oid))
-        if entry is None or entry[1] is None:
-            return False
-        entry[1](value)
-        return True
+        return format_oid(nxt), self._objects[nxt]()
 
     def walk(self) -> List[Tuple[str, bytes]]:
         return [
             (format_oid(oid), getter())
-            for oid, (getter, _) in sorted(self._objects.items())
+            for oid, getter in sorted(self._objects.items())
         ]
 
 
 def build_es_mib(speaker, node=None) -> MibTree:
-    """The Ethernet Speaker MIB: identity, stream stats, control knobs."""
+    """The Ethernet Speaker MIB: identity, stream stats, control state."""
     mib = MibTree()
     machine = speaker.machine
     base = ES_MIB_BASE
@@ -107,30 +95,18 @@ def build_es_mib(speaker, node=None) -> MibTree:
         mib.register(
             f"{base}.2.6", lambda: str(node.device.underruns).encode()
         )
-    # control knobs (read-write)
-    def set_gain(value: bytes) -> None:
-        speaker.gain = float(value.decode())
-
-    mib.register(
-        f"{base}.3.1",
-        lambda: repr(speaker.gain).encode(),
-        setter=set_gain,
-    )
-
-    def set_channel(value: bytes) -> None:
-        group, port = value.decode().split(":")
-        speaker.retune(group, int(port))
-
+    # control state (set over AECP/ACMP, read here)
+    mib.register(f"{base}.3.1", lambda: repr(speaker.gain).encode())
     mib.register(
         f"{base}.3.2",
         lambda: f"{speaker.group_ip}:{speaker.port}".encode(),
-        setter=set_channel,
     )
     return mib
 
 
 class SnmpAgent:
-    """Serves a MIB on UDP 161."""
+    """Serves a MIB read-only on UDP 161: GET and GETNEXT answer, any
+    other operation (SET included) gets ``badop``."""
 
     def __init__(self, machine, mib: MibTree, port: int = SNMP_PORT):
         self.machine = machine
@@ -167,9 +143,6 @@ class SnmpAgent:
                     if nxt is not None
                     else {"status": b"end"}
                 )
-            elif op == b"set":
-                ok = self.mib.set(oid, fields.get("value", b""))
-                reply = {"status": b"ok" if ok else b"nosuch"}
             else:
                 reply = {"status": b"badop"}
             sock.sendto(pack_archive(reply), msg.src)
@@ -195,12 +168,6 @@ class SnmpManager:
             agent_ip, {"op": b"get", "oid": oid.encode()}
         )
         return reply.get("value") if reply.get("status") == b"ok" else None
-
-    def set(self, agent_ip: str, oid: str, value: bytes):
-        reply = yield from self._request(
-            agent_ip, {"op": b"set", "oid": oid.encode(), "value": value}
-        )
-        return reply.get("status") == b"ok"
 
     def walk(self, agent_ip: str):
         """GETNEXT sweep of the whole tree."""

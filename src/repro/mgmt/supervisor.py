@@ -1,28 +1,35 @@
-"""Watchdog / health registry: per-node liveness and driven restarts.
+"""Watchdog / health registry: lease-driven down detection and restarts.
 
 The paper's deployment is meant to run unattended in a building — the
 speakers are netboot ramdisk appliances (§3.4) precisely so a power-cycled
 node comes back with no operator.  This module supplies the management
-half of that story:
+half of that story.
 
-* every supervised node runs a tiny **heartbeat agent** on its own
-  machine.  The agent charges a few CPU cycles per beat, so it starves
-  honestly with the node: a killed process fails its liveness probe, a
-  frozen process fails it too, and a halted CPU never gets to beat at
-  all;
-* the :class:`Supervisor` (the management plane — it runs on the
-  simulator directly, like an operator's box outside the audio path)
-  scans the registry every ``check_interval``; a node whose last beat is
-  older than ``miss_threshold`` heartbeat intervals is marked **down**
-  and a missed-heartbeat counter increments;
-* if the node was registered with a ``restart`` action, the supervisor
-  schedules it after ``restart_delay`` — modelling the watchdog-reset /
-  power-cycle path — and counts the restart.
+Liveness has exactly one signal: the node's ADP lease
+(:mod:`repro.mgmt.discovery`).  Each node's advertiser probes its
+subject and refreshes the lease on the node's own CPU, so a killed
+process, a frozen process and a halted CPU all let the lease lapse.
+The :class:`repro.mgmt.controller.FleetController` scanning the
+registry calls :meth:`Supervisor.notify_lease_expired`, and the
+supervisor
 
-Heartbeats, misses, and restarts all land in telemetry
-(``supervisor.{heartbeats,missed,restarts}[node]``) and are folded into
-``pipeline_report()`` so a run's self-healing activity shows up next to
-its audio ledger.
+* re-checks the node's probe (a lapse with a healthy node — say, only
+  the advertiser died — is ignored);
+* marks the node **down**;
+* if the node was registered with a ``restart`` action, schedules it
+  after ``restart_delay`` — modelling the watchdog-reset / power-cycle
+  path — behind a ``restart_pending`` latch, and re-checks the probe
+  once more before firing, so a node that recovered on its own is left
+  alone.
+
+A node whose lease comes back (the controller sees it return) is marked
+up again.  The worst-case fault-to-restart latency is
+``valid_time + check_interval + restart_delay``.
+
+Lease expiries, downs and restarts land in telemetry
+(``supervisor.{lease_expiries,restarts}[node]``) and restarts are folded
+into ``pipeline_report()`` so a run's self-healing activity shows up
+next to its audio ledger.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.metrics.telemetry import get_telemetry
-from repro.sim.process import Process, Sleep
 
 #: health states
 UP = "up"
@@ -45,17 +51,12 @@ class NodeHealth:
 
     name: str
     status: str = UP
-    last_beat: float = float("-inf")
-    beats: int = 0
-    missed: int = 0          # scan passes that found the node silent
     restarts: int = 0        # restarts this supervisor drove
     restart_pending: bool = False
 
 
 @dataclass
 class SupervisorStats:
-    heartbeats: int = 0
-    missed_heartbeats: int = 0
     restarts: int = 0
     nodes_down: int = 0      # down transitions observed
     lease_expiries: int = 0  # discovery-lease expiries acted on
@@ -65,47 +66,30 @@ class SupervisorStats:
 
 
 class Supervisor:
-    """Health registry plus the scan/restart loop.
+    """Health registry plus the guarded restart path.
 
     Parameters
     ----------
-    heartbeat_interval:
-        how often each node's agent probes and beats.
-    miss_threshold:
-        how many heartbeat intervals of silence mark a node down.
     restart_delay:
         seconds between marking a node down and firing its restart
         action (the watchdog-reset latency); ``None`` disables driven
         restarts globally.
     """
 
-    #: CPU cycles one heartbeat costs on the node's machine
-    BEAT_CYCLES = 1000
-
     def __init__(
         self,
         sim,
-        heartbeat_interval: float = 0.5,
-        miss_threshold: int = 3,
         restart_delay: Optional[float] = 0.5,
         name: str = "supervisor0",
         telemetry=None,
     ):
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if miss_threshold < 1:
-            raise ValueError("miss_threshold must be >= 1")
         self.sim = sim
-        self.heartbeat_interval = heartbeat_interval
-        self.miss_threshold = miss_threshold
         self.restart_delay = restart_delay
         self.name = name
         self.stats = SupervisorStats()
         self.nodes: Dict[str, NodeHealth] = {}
         self._probes: Dict[str, Callable[[], bool]] = {}
         self._restarts: Dict[str, Optional[Callable[[], None]]] = {}
-        self._agents: Dict[str, Process] = {}
-        self._proc: Optional[Process] = None
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
 
     # -- registration ---------------------------------------------------------
@@ -113,42 +97,22 @@ class Supervisor:
     def watch(
         self,
         name: str,
-        machine,
         probe: Callable[[], bool],
         restart: Optional[Callable[[], None]] = None,
     ) -> NodeHealth:
-        """Supervise a node.
+        """Supervise the node advertised as ``name``.
 
-        ``probe`` is the node-local liveness check (process alive and not
-        frozen); it runs inside the heartbeat agent *on the node's
-        machine*, so a halted CPU silences the agent no matter what the
-        probe would have said.  ``restart`` is invoked from the
-        management plane after the node is marked down.
+        ``probe`` is the node-local liveness check (the same one its
+        advertiser runs before every lease refresh); ``restart`` is
+        invoked from the management plane after the node is marked down.
         """
         if name in self.nodes:
             raise ValueError(f"node {name!r} already supervised")
-        health = NodeHealth(name=name, last_beat=self.sim.now)
+        health = NodeHealth(name=name)
         self.nodes[name] = health
         self._probes[name] = probe
         self._restarts[name] = restart
-        self._agents[name] = Process.spawn(
-            self.sim, self._agent(name, machine), name=f"hb/{name}"
-        )
         return health
-
-    def start(self) -> Process:
-        """Start the scan loop (idempotent)."""
-        if self._proc is None or not self._proc.alive:
-            self._proc = Process.spawn(
-                self.sim, self._scan(), name=f"{self.name}/scan"
-            )
-        return self._proc
-
-    def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.kill()
-        for agent in self._agents.values():
-            agent.kill()
 
     def status(self, name: str) -> str:
         return self.nodes[name].status
@@ -158,73 +122,21 @@ class Supervisor:
         self.stats.nodes = {n: h.status for n, h in self.nodes.items()}
         return self.stats
 
-    # -- the node-side agent --------------------------------------------------
-
-    def _agent(self, name: str, machine):
-        tel = self.telemetry
-        c_beats = tel.counter(f"supervisor.heartbeats[{name}]")
-        while True:
-            yield Sleep(self.heartbeat_interval)
-            # the beat costs real cycles on the node: a halted CPU parks
-            # the agent right here and the registry goes stale honestly
-            yield machine.cpu.run(self.BEAT_CYCLES, domain="user")
-            if not self._probes[name]():
-                continue
-            health = self.nodes[name]
-            health.last_beat = self.sim.now
-            health.beats += 1
-            if health.status == DOWN and not health.restart_pending:
-                health.status = UP
-            self.stats.heartbeats += 1
-            c_beats.inc()
-
-    # -- the management-plane scan -------------------------------------------
-
-    def _scan(self):
-        tel = self.telemetry
-        deadline = self.heartbeat_interval * self.miss_threshold
-        while True:
-            yield Sleep(self.heartbeat_interval)
-            now = self.sim.now
-            for name, health in self.nodes.items():
-                if health.restart_pending:
-                    continue
-                if now - health.last_beat <= deadline:
-                    if health.status == DOWN:
-                        health.status = UP
-                    continue
-                health.missed += 1
-                self.stats.missed_heartbeats += 1
-                tel.counter(f"supervisor.missed[{name}]").inc()
-                if health.status != DOWN:
-                    health.status = DOWN
-                    self.stats.nodes_down += 1
-                    tel.tracer.instant(
-                        "supervisor.down", track=self.name, node=name,
-                    )
-                restart = self._restarts[name]
-                if restart is not None and self.restart_delay is not None:
-                    health.restart_pending = True
-                    health.status = RESTARTING
-                    self.sim.schedule(
-                        self.restart_delay, self._do_restart, name
-                    )
+    # -- lease events ---------------------------------------------------------
 
     def notify_lease_expired(self, name: str) -> bool:
-        """Second health signal: a discovery lease lapsed for ``name``.
+        """``name``'s discovery lease lapsed.
 
         Fed by :class:`repro.mgmt.controller.FleetController` when an
-        entity's ADP lease ages out.  Re-uses the exact restart path the
-        heartbeat scan drives — including the ``restart_pending`` latch —
-        so a node both signals notice is still restarted exactly once.
-        Returns ``True`` when a restart was scheduled (or the node was
-        newly marked down with no restart action registered).
+        entity's ADP lease ages out.  Returns ``True`` when a restart was
+        scheduled (or the node was newly marked down with no restart
+        action registered).
         """
         health = self.nodes.get(name)
         if health is None:
             return False          # not a supervised node (e.g. a remote)
         if health.restart_pending:
-            return False          # heartbeat path already acting on it
+            return False          # already acting on it
         if self._probes[name]():
             return False          # lease lapse was transient; node is fine
         self.stats.lease_expiries += 1
@@ -242,18 +154,21 @@ class Supervisor:
             self.sim.schedule(self.restart_delay, self._do_restart, name)
         return True
 
+    def notify_returned(self, name: str) -> None:
+        """``name`` advertised again after its lease lapsed: unless a
+        restart is already on its way, the node is up."""
+        health = self.nodes.get(name)
+        if health is not None and not health.restart_pending:
+            health.status = UP
+
     def _do_restart(self, name: str) -> None:
         health = self.nodes[name]
-        restart = self._restarts[name]
         health.restart_pending = False
-        if self._probes[name]():
-            # the node came back on its own while we waited
-            health.status = UP
-            return
-        restart()
-        health.restarts += 1
         health.status = UP
-        health.last_beat = self.sim.now  # restart grace: full deadline again
+        if self._probes[name]():
+            return                # the node came back on its own
+        self._restarts[name]()
+        health.restarts += 1
         self.stats.restarts += 1
         self.telemetry.counter(f"supervisor.restarts[{name}]").inc()
         self.telemetry.tracer.instant(

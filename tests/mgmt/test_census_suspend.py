@@ -9,11 +9,9 @@ from repro.mgmt import (
     CATALOG_PORT,
     CatalogAnnouncer,
     CatalogListener,
-    ControlStation,
-    ManagementAgent,
 )
 from repro.security import HmacAuthenticator, Impostor
-from repro.sim import Process
+from repro.sim import Sleep
 
 LOW = AudioParams(AudioEncoding.SLINEAR16, 8000, 1)
 
@@ -23,31 +21,21 @@ LOW = AudioParams(AudioEncoding.SLINEAR16, 8000, 1)
 
 def census_fixture(n_tuned, n_other):
     system = EthernetSpeakerSystem()
-    producer = system.add_producer()
+    system.add_producer()
     ch = system.add_channel("pa", params=LOW, compress="never")
     other = system.add_channel("other", params=LOW, compress="never")
-    for _ in range(n_tuned):
-        node = system.add_speaker(channel=ch)
-        ManagementAgent(node.speaker).start()
-    for _ in range(n_other):
-        node = system.add_speaker(channel=other)
-        ManagementAgent(node.speaker).start()
-    console = system.add_producer(name="console", housekeeping=False)
-    station = ControlStation(console.machine)
-    return system, console, station, ch
+    for channel, n in ((ch, n_tuned), (other, n_other)):
+        for _ in range(n):
+            system.advertise_speaker(system.add_speaker(channel=channel))
+    controller = system.add_controller(check_interval=0.1)
+    return system, controller, ch
 
 
 @pytest.mark.parametrize("n_tuned,n_other", [(0, 2), (3, 2), (7, 0)])
 def test_census_counts_tuned_speakers(n_tuned, n_other):
-    system, console, station, ch = census_fixture(n_tuned, n_other)
-    result = {}
-
-    def poll():
-        result["count"] = yield from station.census(ch.group_ip, ch.port)
-
-    console.machine.spawn(poll())
+    system, controller, ch = census_fixture(n_tuned, n_other)
     system.run(until=2.0)
-    assert result["count"] == n_tuned
+    assert controller.census(ch.channel_id) == n_tuned
 
 
 def test_census_driven_suspension_saves_bandwidth():
@@ -57,19 +45,15 @@ def test_census_driven_suspension_saves_bandwidth():
     producer = system.add_producer()
     ch = system.add_channel("idle", params=LOW, compress="never")
     rb = system.add_rebroadcaster(producer, ch)
-    console = system.add_producer(name="console", housekeeping=False)
-    station = ControlStation(console.machine)
-    system.play_synthetic(producer, 20.0, PARAMS := LOW)
+    controller = system.add_controller(check_interval=0.1)
+    system.play_synthetic(producer, 20.0, LOW)
 
     def operator():
-        from repro.sim import Sleep
-
         yield Sleep(2.0)
-        count = yield from station.census(ch.group_ip, ch.port)
-        if count == 0:
+        if controller.census(ch.channel_id) == 0:
             rb.suspend()
 
-    console.machine.spawn(operator())
+    controller.machine.spawn(operator())
     system.run(until=25.0)
     assert rb.stats.suspended_blocks > 100
     # transmission stopped shortly after the census

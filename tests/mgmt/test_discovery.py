@@ -397,13 +397,14 @@ def test_cold_boot_census_is_solicited_not_waited():
 
 
 def test_lease_expiry_drives_exactly_one_restart():
-    """Lease expiry and missed heartbeats both notice the crash; the
-    restart_pending latch must keep it to one restart."""
+    """Lease expiry notices the crash and drives the restart; the
+    restart_pending latch must keep it to one restart, and the restarted
+    node's returning advert re-registers it."""
     system = EthernetSpeakerSystem()
     ch = system.add_channel("lobby", params=LOW)
     node = system.add_speaker(channel=ch, name="onceonly")
     system.advertise_speaker(node, valid_time=1.0)
-    sup = system.add_supervisor(heartbeat_interval=0.25, restart_delay=0.25)
+    sup = system.add_supervisor(restart_delay=0.25)
     system.supervise_speaker(sup, node)
     controller = system.add_controller(
         supervisor=sup, check_interval=0.1

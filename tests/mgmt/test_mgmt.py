@@ -1,4 +1,5 @@
-"""Catalog, central override, SNMP MIB, auto volume."""
+"""Catalog, central override and volume over ACMP/AECP, the read-only
+SNMP MIB, auto volume."""
 
 import pytest
 
@@ -9,14 +10,13 @@ from repro.mgmt import (
     AutoVolumeController,
     CatalogAnnouncer,
     CatalogListener,
-    ControlStation,
     ES_MIB_BASE,
-    ManagementAgent,
     SnmpAgent,
     SnmpManager,
 )
 from repro.mgmt.snmp import MibTree, build_es_mib
 from repro.security import Impostor
+from repro.sim import Sleep, WaitProcess
 
 LOW = AudioParams(AudioEncoding.SLINEAR16, 8000, 1)
 
@@ -95,6 +95,13 @@ def test_catalog_listener_rejects_untrusted_impostor():
 # -- central override -----------------------------------------------------------------
 
 
+def managed(system, nodes):
+    """Advertise ``nodes`` and start a controller that will see them."""
+    for node in nodes:
+        system.advertise_speaker(node)
+    return system.add_controller(check_interval=0.1)
+
+
 def test_override_and_release():
     """§5.3: crew announcement overrides, then releases."""
     system = EthernetSpeakerSystem()
@@ -103,21 +110,39 @@ def test_override_and_release():
     crew = system.add_channel("crew", params=LOW, compress="never")
     system.add_rebroadcaster(producer, movie)
     nodes = [system.add_speaker(channel=movie) for _ in range(3)]
-    agents = [ManagementAgent(n.speaker) for n in nodes]
-    for agent in agents:
-        agent.start()
-    console = system.add_producer(name="console", housekeeping=False)
-    station = ControlStation(console.machine)
-    system.sim.schedule(1.0, station.override, crew.group_ip, crew.port)
-    system.sim.schedule(2.0, station.release)
+    parked = system.add_speaker(channel=None, start=False)
+    controller = managed(system, nodes + [parked])
+    during = {}
+
+    def console():
+        yield Sleep(1.0)
+        for proc in system.override(controller, crew):
+            assert (yield WaitProcess(proc)) is True
+        during["tuned"] = [
+            (n.speaker.group_ip, n.speaker.port) for n in nodes + [parked]
+        ]
+        yield Sleep(1.0)
+        for proc in system.release(controller):
+            assert (yield WaitProcess(proc)) is True
+
+    driver = nodes[0].machine.spawn(console())
     system.run(until=3.0)
+    assert driver.exception is None
     for node in nodes:
         assert (node.speaker.group_ip, node.speaker.port) == (
             movie.group_ip,
             movie.port,
         )
+        assert node.channel is movie
+    # the parked speaker was pulled in for the announcement and parked
+    # again afterwards
+    assert parked.speaker.group_ip is None
+    assert parked.channel is None
     # during the override they were on the crew channel
-    assert all(a.commands_executed == 2 for a in agents)
+    assert during["tuned"] == [(crew.group_ip, crew.port)] * 4
+    assert all(n.agent.acmp_handled == 2 for n in nodes + [parked])
+    assert controller.stats.acmp_connects == 7
+    assert controller.stats.acmp_disconnects == 1
 
 
 def test_tune_all():
@@ -125,25 +150,30 @@ def test_tune_all():
     producer = system.add_producer()
     a = system.add_channel("a", params=LOW)
     b = system.add_channel("b", params=LOW)
-    node = system.add_speaker(channel=a)
-    ManagementAgent(node.speaker).start()
-    console = system.add_producer(name="console", housekeeping=False)
-    station = ControlStation(console.machine)
-    system.sim.schedule(0.5, station.tune_all, b.group_ip, b.port)
+    nodes = [system.add_speaker(channel=a) for _ in range(2)]
+    controller = managed(system, nodes)
+
+    def tune_all():
+        for node in nodes:
+            system.connect_speaker(controller, node, b)
+
+    system.sim.schedule(0.5, tune_all)
     system.run(until=1.5)
-    assert node.speaker.group_ip == b.group_ip
+    assert all(n.speaker.group_ip == b.group_ip for n in nodes)
+    assert controller.fleet_map() == {
+        b.channel_id: sorted(n.speaker.name for n in nodes)
+    }
 
 
 def test_volume_command():
     system = EthernetSpeakerSystem()
     ch = system.add_channel("c", params=LOW)
     node = system.add_speaker(channel=ch)
-    ManagementAgent(node.speaker).start()
-    console = system.add_producer(name="console", housekeeping=False)
-    station = ControlStation(console.machine)
-    system.sim.schedule(0.5, station.set_volume, 0.25)
+    controller = managed(system, [node])
+    system.sim.schedule(0.5, controller.set_gain, node.entity_id, 0.25)
     system.run(until=1.5)
     assert node.speaker.gain == 0.25
+    assert controller.stats.gain_sets == 1
 
 
 # -- SNMP -----------------------------------------------------------------------------
@@ -189,7 +219,43 @@ def test_snmp_get_and_walk_over_network():
     assert results["state"] == b"playing"
 
 
-def test_snmp_set_gain():
+def test_aecp_set_gain():
+    """Volume is an AECP SET_CONTROL transaction: the agent applies the
+    gain and echoes it, the registry's descriptor follows, and a
+    malformed value is refused without touching the speaker."""
+    system = EthernetSpeakerSystem()
+    ch = system.add_channel("x", params=LOW)
+    node = system.add_speaker(channel=ch)
+    system.advertise_speaker(node)
+    controller = system.add_controller(check_interval=0.1,
+                                       auto_enumerate=True)
+    outcome = {}
+
+    def setter():
+        yield Sleep(0.5)
+        outcome["ok"] = yield WaitProcess(
+            controller.set_gain(node.entity_id, 0.5)
+        )
+        outcome["bad"] = yield WaitProcess(
+            controller.set_gain(node.entity_id, float("nan"))
+        )
+
+    node.machine.spawn(setter())
+    system.run(until=3.0)
+    assert outcome["ok"] is True
+    assert node.speaker.gain == 0.5
+    rec = controller.entities[node.entity_id]
+    assert rec.descriptor["gain"] == "0.5"
+    assert outcome["bad"] is False
+    assert controller.stats.gain_sets == 1
+    assert controller.stats.gain_set_failures == 1
+    # a refusal is an answer: no resend
+    assert controller.stats.gain_set_retries == 0
+
+
+def test_snmp_set_is_refused():
+    """The MIB is a read-only view: an SNMP SET is answered ``badop`` and
+    changes nothing."""
     system = EthernetSpeakerSystem()
     ch = system.add_channel("x", params=LOW)
     node = system.add_speaker(channel=ch)
@@ -199,18 +265,21 @@ def test_snmp_set_gain():
     outcome = {}
 
     def setter():
-        outcome["ok"] = yield from manager.set(
-            node.machine.net.ip, f"{ES_MIB_BASE}.3.1", b"0.5"
+        outcome["reply"] = yield from manager._request(
+            node.machine.net.ip,
+            {"op": b"set", "oid": f"{ES_MIB_BASE}.3.1".encode(),
+             "value": b"0.5"},
         )
-        outcome["bad"] = yield from manager.set(
-            node.machine.net.ip, f"{ES_MIB_BASE}.2.3", b"1"
-        )  # read-only
+        outcome["gain"] = yield from manager.get(
+            node.machine.net.ip, f"{ES_MIB_BASE}.3.1"
+        )
 
     console.machine.spawn(setter())
     system.run(until=2.0)
-    assert outcome["ok"] is True
-    assert node.speaker.gain == 0.5
-    assert outcome["bad"] is False
+    assert outcome["reply"] == {"status": b"badop"}
+    assert node.speaker.gain == 1.0
+    assert outcome["gain"] == b"1.0"
+    assert not hasattr(manager, "set")
 
 
 # -- auto volume -----------------------------------------------------------------------

@@ -5,7 +5,7 @@ still "there" (its generator never exited) but it stops consuming its
 queues and servicing its timers.  ``Process.freeze`` models exactly that —
 the scheduler parks the process's next wake-up instead of delivering it —
 and ``Cpu.halt`` extends the wedge to the whole machine, so even other
-processes (heartbeat agents included) starve.
+processes (the ADP advertiser included) starve.
 """
 
 import pytest

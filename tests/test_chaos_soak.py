@@ -378,8 +378,8 @@ def test_relay_kill_is_deterministic(fallback):
 # listener that dies mid-ACMP-transaction costs a bounded, counted
 # failure, never a hang; a controller restart mid-churn repopulates from
 # live adverts and resurrects nothing dead; and a rebroadcaster crash
-# detected by lease expiry drives exactly one supervisor restart even
-# with heartbeats watching the same node.  Every scenario closes the
+# is detected by exactly one lease expiry, which drives exactly one
+# supervisor restart.  Every scenario closes the
 # audio ledger and fingerprints bit-identically across two same-seed runs.
 
 CP_VALID = 1.0
@@ -399,9 +399,7 @@ def run_churn_scenario(mode, seed):
     rb = system.add_rebroadcaster(
         producer, channel, control_interval=CONTROL_IVL
     )
-    supervisor = system.add_supervisor(
-        heartbeat_interval=0.25, restart_delay=0.25
-    )
+    supervisor = system.add_supervisor(restart_delay=0.25)
     nodes = [system.add_speaker(channel=channel) for _ in range(3)]
     advs = [
         system.advertise_speaker(n, valid_time=CP_VALID) for n in nodes
@@ -445,8 +443,8 @@ def run_churn_scenario(mode, seed):
         system.sim.schedule(3.5, controller.restart)
         outcome["crash_at"] = 2.5
     elif mode == "rb-zombie":
-        # the talker dies silently mid-stream: lease expiry and missed
-        # heartbeats race to notice; the latch keeps it to one restart
+        # the talker dies silently mid-stream: its lease lapses once and
+        # the latch keeps it to one restart
         system.sim.schedule(3.0, rb.stop)
         outcome["crash_at"] = 3.0
 
@@ -501,7 +499,7 @@ def test_control_plane_churn_scenario(mode, seed):
         assert nodes[2].speaker.name not in live
     elif mode == "rb-zombie":
         assert supervisor.stats.restarts == 1          # never two
-        assert supervisor.stats.lease_expiries <= 1
+        assert supervisor.stats.lease_expiries == 1
         assert rb.epoch > 0                            # restart bumped it
         # playback resumes on every speaker after the restart window
         for n in nodes:
