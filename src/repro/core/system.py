@@ -580,7 +580,8 @@ class EthernetSpeakerSystem:
         clock.  Register advertised nodes with :meth:`supervise_speaker`
         / :meth:`supervise_rebroadcaster` and bind it to a controller
         (``add_controller(supervisor=...)``): lease expiries seen there
-        are its only input."""
+        are its only input, so :meth:`run` refuses a supervisor that
+        watches nodes with no controller bound."""
         supervisor = Supervisor(
             self.sim,
             restart_delay=restart_delay,
@@ -622,6 +623,17 @@ class EthernetSpeakerSystem:
     def channel_by_id(self, channel_id: int) -> Optional[ChannelConfig]:
         for channel in self.channels:
             if channel.channel_id == channel_id:
+                return channel
+        return None
+
+    def _tuned_channel(self, speaker) -> Optional[ChannelConfig]:
+        """The channel ``speaker`` is actually tuned to, however it got
+        there (an ACMP CONNECT, a remote control, an NVRAM restore), or
+        ``None`` when it is parked or on a stream this system does not
+        carry."""
+        tuned = (speaker.group_ip, speaker.port)
+        for channel in self.channels:
+            if (channel.group_ip, channel.port) == tuned:
                 return channel
         return None
 
@@ -712,6 +724,12 @@ class EthernetSpeakerSystem:
             proc = speaker._proc
             return proc is None or (proc.alive and not proc.frozen)
 
+        def channel_id() -> int:
+            # what the speaker is actually tuned to: a remote control
+            # retunes it without the controller's say
+            channel = self._tuned_channel(speaker)
+            return channel.channel_id if channel is not None else 0
+
         advertiser = EntityAdvertiser(
             node.machine,
             entity_id,
@@ -720,9 +738,7 @@ class EthernetSpeakerSystem:
             probe=probe,
             valid_time=valid_time,
             interval=interval,
-            channel_id_fn=lambda: (
-                node.channel.channel_id if node.channel is not None else 0
-            ),
+            channel_id_fn=channel_id,
             mgmt_port=MGMT_PORT,
             telemetry=self.telemetry,
         )
@@ -852,13 +868,15 @@ class EthernetSpeakerSystem:
     ) -> List[Process]:
         """Central override (§5.3, the crew announcement): CONNECT every
         speaker the controller sees live to ``channel``, remembering the
-        channel each was on for :meth:`release`.  Returns the ACMP
+        channel each was tuned to for :meth:`release`.  Returns the ACMP
         transaction processes."""
         live = {rec.entity_id for rec in controller.available()}
         procs = []
         for node in self.speakers:
             if node.entity_id in live:
-                self._overridden.setdefault(node.entity_id, node.channel)
+                self._overridden.setdefault(
+                    node.entity_id, self._tuned_channel(node.speaker)
+                )
                 procs.append(self.connect_speaker(controller, node, channel))
         return procs
 
@@ -1016,6 +1034,15 @@ class EthernetSpeakerSystem:
     # -- running & measuring --------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
+        for supervisor in self.supervisors:
+            if supervisor.nodes and not any(
+                c.supervisor is supervisor for c in self.controllers
+            ):
+                raise ValueError(
+                    f"{supervisor.name} watches nodes but no controller "
+                    "reports lease expiries to it; pass it to "
+                    "add_controller(supervisor=...)"
+                )
         return self.sim.run(until=until)
 
     def pipeline_report(self) -> PipelineReport:

@@ -26,8 +26,10 @@ never silent.
 Lease expiry is the fleet's one liveness signal: when a supervisor is
 bound via :meth:`FleetController.bind_supervisor`, an expired lease
 calls ``supervisor.notify_lease_expired(name)``, which schedules the
-guarded restart, and an entity advertising again after its lease lapsed
-calls ``supervisor.notify_returned(name)``.
+guarded restart, again each further ``valid_time`` the entity stays
+silent (so a restart that did not take is retried), and an entity
+advertising again after its lease lapsed calls
+``supervisor.notify_returned(name)``.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ class EntityRecord:
     name: str
     ip: str
     mgmt_port: int
+    #: channel the entity is on: its latest advert, or this
+    #: controller's last completed CONNECT/DISCONNECT if that is newer
     channel_id: int
     valid_time: float
     available_index: int
@@ -99,15 +103,8 @@ class EntityRecord:
     #: (group_ip, port, channel_id) of the stream this controller
     #: connected the entity to, if any
     connected: Optional[Tuple[str, int, int]] = None
+    #: when the lease lapsed, or was last reported lapsed again
     expired_at: Optional[float] = None
-
-    @property
-    def serving(self) -> int:
-        """Channel the entity is on: controller-connected view first,
-        falling back to what the entity itself advertises."""
-        if self.connected is not None:
-            return self.connected[2]
-        return self.channel_id
 
 
 @dataclass
@@ -243,8 +240,8 @@ class FleetController:
         here it falls straight out of the registry."""
         out: Dict[int, List[str]] = {}
         for rec in self.entities.values():
-            if rec.state == ENT_AVAILABLE and rec.serving:
-                out.setdefault(rec.serving, []).append(rec.name)
+            if rec.state == ENT_AVAILABLE and rec.channel_id:
+                out.setdefault(rec.channel_id, []).append(rec.name)
         for names in out.values():
             names.sort()
         return out
@@ -342,10 +339,19 @@ class FleetController:
     def _scan_leases(self) -> None:
         now = self.sim.now
         for rec in self.entities.values():
-            if rec.state != ENT_AVAILABLE:
-                continue
             # a foreign advert may carry no lease of its own
             valid = rec.valid_time or DEFAULT_VALID_TIME
+            if rec.state == ENT_EXPIRED:
+                # still silent a whole lease after the last report (say
+                # a driven restart did not take): report it again
+                if self.supervisor is not None and lease_expired(
+                    now, rec.expired_at, valid
+                ):
+                    rec.expired_at = now
+                    self.supervisor.notify_lease_expired(rec.name)
+                continue
+            if rec.state != ENT_AVAILABLE:
+                continue
             if lease_expired(now, rec.last_seen, valid):
                 rec.state = ENT_EXPIRED
                 rec.expired_at = now
@@ -375,21 +381,17 @@ class FleetController:
         rec: EntityRecord,
         build: Callable[[int], object],
         accept: Callable[[object], object],
-        retries: str,
     ):
         """The one command/response loop behind every AECP and ACMP
         transaction.  ``build(seq)`` makes the command PDU;
         ``accept(pkt)``, offered only PDUs echoing that ``seq``, returns
         ``None`` for anything but the matching response, ``False`` for a
-        refusal, and the result otherwise.  Each resend counts into ``stats.<retries>``.
-        Returns the accepted result or refusal, or ``None`` once every
-        attempt has timed out."""
+        refusal, and the result otherwise.  Returns ``(result, resends)``:
+        the accepted result or refusal (``None`` once every attempt has
+        timed out) and how many times the command was resent."""
         sock = self.stack.socket()
         try:
             for attempt in range(self.txn_retries):
-                if attempt:
-                    setattr(self.stats, retries,
-                            getattr(self.stats, retries) + 1)
                 self._seq += 1
                 seq = self._seq
                 cmd = build(seq)
@@ -414,16 +416,15 @@ class FleetController:
                         continue
                     result = accept(pkt)
                     if result is not None:
-                        return result
-            return None
+                        return result, attempt
+            return None, max(self.txn_retries - 1, 0)
         finally:
             sock.close()
 
-    def _aecp(
-        self, rec: EntityRecord, command: int, fields, retries: str
-    ):
-        """An AECP command transaction; returns the response's archive
-        fields (decoded), or a falsy value on refusal or timeout."""
+    def _aecp(self, rec: EntityRecord, command: int, fields):
+        """An AECP command transaction; returns ``(fields, resends)``
+        with the response's archive fields decoded, or a falsy value on
+        refusal or timeout."""
 
         def build(seq: int) -> AecpPacket:
             return AecpPacket(
@@ -453,7 +454,7 @@ class FleetController:
                 for k, v in reply.items()
             }
 
-        return (yield from self._transact(rec, build, accept, retries))
+        return (yield from self._transact(rec, build, accept))
 
     def enumerate(self, entity_id: int) -> Process:
         """Spawn an AECP READ_DESCRIPTOR transaction; the process result
@@ -462,9 +463,10 @@ class FleetController:
         return self._spawn(self._enumerate(rec), "aecp", rec)
 
     def _enumerate(self, rec: EntityRecord):
-        descriptor = yield from self._aecp(
-            rec, AECP_READ_DESCRIPTOR, None, "enumeration_retries"
+        descriptor, resends = yield from self._aecp(
+            rec, AECP_READ_DESCRIPTOR, None
         )
+        self.stats.enumeration_retries += resends
         if not descriptor:
             self.stats.enumeration_failures += 1
             return False
@@ -480,10 +482,10 @@ class FleetController:
         return self._spawn(self._set_gain(rec, gain), "aecp-gain", rec)
 
     def _set_gain(self, rec: EntityRecord, gain: float):
-        applied = yield from self._aecp(
-            rec, AECP_SET_CONTROL, {"gain": repr(gain).encode()},
-            "gain_set_retries",
+        applied, resends = yield from self._aecp(
+            rec, AECP_SET_CONTROL, {"gain": repr(gain).encode()}
         )
+        self.stats.gain_set_retries += resends
         if not applied:
             self.stats.gain_set_failures += 1
             return False
@@ -559,13 +561,15 @@ class FleetController:
                 return pkt.status == ACMP_OK
             return None
 
-        ok = yield from self._transact(rec, build, accept, "acmp_retries")
+        ok, resends = yield from self._transact(rec, build, accept)
+        self.stats.acmp_retries += resends
         if not ok:
             self.stats.acmp_failures += 1
             self._c_fail.inc()
             return False
         if message_type == ACMP_CONNECT_RX_COMMAND:
             rec.connected = (group_ip, port, channel_id)
+            rec.channel_id = channel_id
             self.stats.acmp_connects += 1
             self._c_conn.inc()
             if self.on_connected is not None:

@@ -22,8 +22,11 @@ supervisor
   once more before firing, so a node that recovered on its own is left
   alone.
 
-A node whose lease comes back (the controller sees it return) is marked
-up again.  The worst-case fault-to-restart latency is
+The controller reports a lease again each further ``valid_time`` the
+node stays silent, so a driven restart that did not take (the node
+faulted again before its first advert) is detected and retried.  A node
+whose lease comes back (the controller sees it return) is marked up
+again.  The worst-case fault-to-restart latency is
 ``valid_time + check_interval + restart_delay``.
 
 Lease expiries, downs and restarts land in telemetry
@@ -137,16 +140,17 @@ class Supervisor:
             return False          # not a supervised node (e.g. a remote)
         if health.restart_pending:
             return False          # already acting on it
+        if health.status == DOWN:
+            return False          # known down, no restart to drive
         if self._probes[name]():
             return False          # lease lapse was transient; node is fine
         self.stats.lease_expiries += 1
         self.telemetry.counter(f"supervisor.lease_expiries[{name}]").inc()
-        if health.status != DOWN:
-            health.status = DOWN
-            self.stats.nodes_down += 1
-            self.telemetry.tracer.instant(
-                "supervisor.lease_expired", track=self.name, node=name,
-            )
+        health.status = DOWN
+        self.stats.nodes_down += 1
+        self.telemetry.tracer.instant(
+            "supervisor.lease_expired", track=self.name, node=name,
+        )
         restart = self._restarts[name]
         if restart is not None and self.restart_delay is not None:
             health.restart_pending = True

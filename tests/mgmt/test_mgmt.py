@@ -11,6 +11,7 @@ from repro.mgmt import (
     CatalogAnnouncer,
     CatalogListener,
     ES_MIB_BASE,
+    RemoteControl,
     SnmpAgent,
     SnmpManager,
 )
@@ -143,6 +144,45 @@ def test_override_and_release():
     assert all(n.agent.acmp_handled == 2 for n in nodes + [parked])
     assert controller.stats.acmp_connects == 7
     assert controller.stats.acmp_disconnects == 1
+
+
+def test_release_returns_a_remote_tuned_speaker_to_its_pick():
+    """§5.3 airplane: a passenger surfs with the remote, the crew
+    overrides, and release returns the seat to the passenger's pick,
+    not to the channel it booted on.  The census follows the remote."""
+    system = EthernetSpeakerSystem()
+    producer = system.add_producer()
+    movie = system.add_channel("movie", params=LOW, compress="never")
+    music = system.add_channel("music", params=LOW, compress="never")
+    crew = system.add_channel("crew", params=LOW, compress="never")
+    announcer = CatalogAnnouncer(producer.machine, interval=0.25)
+    for ch in (movie, music):
+        announcer.add_channel(ch)
+    announcer.start()
+    seat, other = (system.add_speaker(channel=movie) for _ in range(2))
+    catalog = CatalogListener(seat.machine)
+    catalog.start()
+    remote = RemoteControl(seat.speaker, catalog)
+    controller = managed(system, [seat, other])
+    system.run(until=1.0)  # let the catalog fill
+    assert remote.select("music") is not None
+    system.run(until=2.0)  # one advert interval: the registry hears it
+    assert controller.census(music.channel_id) == 1
+    assert controller.census(movie.channel_id) == 1
+    system.override(controller, crew)
+    system.run(until=3.0)
+    assert controller.census(crew.channel_id) == 2
+    system.release(controller)
+    system.run(until=4.0)
+    assert (seat.speaker.group_ip, seat.speaker.port) == (
+        music.group_ip, music.port,
+    )
+    assert (other.speaker.group_ip, other.speaker.port) == (
+        movie.group_ip, movie.port,
+    )
+    assert controller.census(music.channel_id) == 1
+    assert controller.census(movie.channel_id) == 1
+    assert controller.census(crew.channel_id) == 0
 
 
 def test_tune_all():

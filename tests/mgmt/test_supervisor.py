@@ -118,6 +118,43 @@ def test_down_node_whose_lease_returns_is_marked_up():
     assert sup.stats.lease_expiries == 1
 
 
+def test_restart_that_does_not_take_is_retried():
+    """The speaker crashes again right after its driven restart, before
+    it can advertise: the controller reports the still-lapsed lease
+    again one valid_time later and the supervisor restarts it again."""
+    system, node, sup = build()
+    controller = system.controllers[0]
+    system.sim.schedule(4.0, node.speaker.crash)
+    now = 4.0
+    while sup.stats.restarts == 0:
+        now += 0.01
+        system.run(until=now)
+    assert now < 4.0 + VALID_TIME + CHECK_INTERVAL + 0.5 + 0.01
+    node.speaker.crash()
+    # it never got an advert out: the registry still holds the lapse
+    assert controller.find(node.speaker.name).state == "expired"
+    system.run(until=12.0)
+    health = sup.nodes[node.speaker.name]
+    assert health.restarts == 2
+    assert health.status == UP
+    assert node.speaker._proc.alive
+    assert node.stats.play_log[-1][1] > 8.0
+
+
+def test_supervisor_without_a_controller_is_refused_at_run():
+    """Lease expiries are a supervisor's only input: one that watches
+    nodes but is bound to no controller would never act, so run()
+    refuses it."""
+    system = EthernetSpeakerSystem()
+    node = system.add_speaker(channel=None, start=False)
+    system.advertise_speaker(node, valid_time=VALID_TIME)
+    sup = system.add_supervisor()
+    system.supervise_speaker(sup, node)
+    system.add_controller(check_interval=CHECK_INTERVAL)
+    with pytest.raises(ValueError, match="add_controller"):
+        system.run(until=1.0)
+
+
 @pytest.mark.parametrize("fault", ["crash", "hang", "hang-cpu-running"])
 def test_detection_latency_is_bounded_by_the_lease(fault):
     """Fault to driven restart takes at most valid_time (the lease
