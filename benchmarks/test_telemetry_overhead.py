@@ -17,6 +17,7 @@ import json
 from repro.audio import AudioEncoding, AudioParams, sine
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
+from tests.oracles import report_counts
 
 PARAMS = AudioParams(AudioEncoding.SLINEAR16, 8000, 1)
 STREAM_SECONDS = 8.0
@@ -66,10 +67,13 @@ def test_telemetry_off_same_outcome(benchmark):
     on = run_pipeline(True)
 
     assert off.telemetry.tracer.events == []
-    assert off.telemetry.counters == {}
+    assert off.telemetry.gauges == {} and off.telemetry.histograms == {}
     assert [n.stats.played for n in off.speakers] == [
         n.stats.played for n in on.speakers
     ]
+    assert report_counts(off.pipeline_report()) == report_counts(
+        on.pipeline_report()
+    )
     assert off.sim.now == on.sim.now
 
     rows = [

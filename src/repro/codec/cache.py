@@ -73,27 +73,15 @@ class DecodeCache:
         bound on cached blocks; beyond it the least-recently-used entry
         is evicted.  At the default 0.5 s producer chunking a few dozen
         entries cover every in-flight block of several channels.
-    telemetry:
-        a :class:`~repro.metrics.telemetry.Telemetry` registry; hit /
-        miss / eviction counters are published as ``codec.cache.hits``
-        etc.  ``None`` falls back to the process default.
+
+    Hits, misses and evictions are counted in :attr:`stats`.
     """
 
-    def __init__(self, max_entries: int = MAX_ENTRIES, telemetry=None,
-                 name: str = ""):
+    def __init__(self, max_entries: int = MAX_ENTRIES):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1: {max_entries}")
-        if telemetry is None:
-            from repro.metrics.telemetry import get_telemetry
-
-            telemetry = get_telemetry()
         self.max_entries = max_entries
-        self.name = name
         self.stats = DecodeCacheStats()
-        label = f"[{name}]" if name else ""
-        self._c_hits = telemetry.counter(f"codec.cache.hits{label}")
-        self._c_misses = telemetry.counter(f"codec.cache.misses{label}")
-        self._c_evictions = telemetry.counter(f"codec.cache.evictions{label}")
         self._entries: "OrderedDict[Tuple, DecodedBlock]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -115,11 +103,9 @@ class DecodeCache:
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            self._c_misses.inc()
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        self._c_hits.inc()
         return entry
 
     def put(self, key: Tuple, entry: DecodedBlock) -> None:
@@ -129,7 +115,6 @@ class DecodeCache:
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
             self.stats.evictions += 1
-            self._c_evictions.inc()
 
     def clear(self) -> None:
         self._entries.clear()
@@ -167,25 +152,11 @@ class EncodeCache:
     size estimation — must bypass the cache entirely.
     """
 
-    def __init__(self, max_entries: int = MAX_ENTRIES, telemetry=None,
-                 name: str = ""):
+    def __init__(self, max_entries: int = MAX_ENTRIES):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1: {max_entries}")
-        if telemetry is None:
-            from repro.metrics.telemetry import get_telemetry
-
-            telemetry = get_telemetry()
         self.max_entries = max_entries
-        self.name = name
         self.stats = EncodeCacheStats()
-        label = f"[{name}]" if name else ""
-        self._c_hits = telemetry.counter(f"codec.encode_cache.hits{label}")
-        self._c_misses = telemetry.counter(
-            f"codec.encode_cache.misses{label}"
-        )
-        self._c_evictions = telemetry.counter(
-            f"codec.encode_cache.evictions{label}"
-        )
         self._entries: "OrderedDict[Tuple, EncodedBlock]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -202,11 +173,9 @@ class EncodeCache:
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            self._c_misses.inc()
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        self._c_hits.inc()
         return entry
 
     def put(self, key: Tuple, entry: EncodedBlock) -> None:
@@ -216,7 +185,6 @@ class EncodeCache:
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
             self.stats.evictions += 1
-            self._c_evictions.inc()
 
     def clear(self) -> None:
         self._entries.clear()

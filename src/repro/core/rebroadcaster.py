@@ -37,7 +37,10 @@ from repro.sim.resources import QueueClosed
 class RebroadcasterStats:
     control_sent: int = 0
     data_sent: int = 0
+    #: data sends the socket refused (the ledger's sender-side loss)
     send_failures: int = 0
+    #: control sends the socket refused (not channel data)
+    control_send_failures: int = 0
     raw_bytes: int = 0
     sent_payload_bytes: int = 0
     records_in: int = 0
@@ -95,20 +98,10 @@ class Rebroadcaster:
         #: CPU is charged the full encode cost before the lookup.
         self.encode_cache = encode_cache
         self.stats = RebroadcasterStats()
-        # cached instruments: one label per channel so system-level
-        # conservation can sum with Telemetry.total(); with telemetry
-        # disabled these are shared no-op singletons
-        tel, label = self.telemetry, f"ch{channel.channel_id}"
         self._track = f"{machine.name}/rb"
-        self._c_data = tel.counter(f"rebroadcaster.data_sent[{label}]")
-        self._c_ctl = tel.counter(f"rebroadcaster.control_sent[{label}]")
-        self._c_raw = tel.counter(f"rebroadcaster.raw_bytes[{label}]")
-        self._c_wire = tel.counter(f"rebroadcaster.sent_bytes[{label}]")
-        self._c_susp = tel.counter(f"rebroadcaster.suspended[{label}]")
-        self._c_fail = tel.counter(f"rebroadcaster.send_failures[{label}]")
         #: frames per real encoder invocation — cache hits and synthetic
         #: estimates don't run the kernel, so they are not observed
-        self._h_batch = tel.histogram(
+        self._h_batch = self.telemetry.histogram(
             "origin.encode_batch", bounds=DEFAULT_DEPTH_BUCKETS
         )
         self.suspended = False
@@ -259,7 +252,6 @@ class Rebroadcaster:
             # advanced above, the block itself goes nowhere
             self.stats.suspended_blocks += 1
             self.stats.suspended_bytes += len(payload)
-            self._c_susp.inc()
             return
         if self._need_control:
             self._need_control = False
@@ -283,11 +275,8 @@ class Rebroadcaster:
         self.stats.data_sent += 1
         self.stats.raw_bytes += len(payload)
         self.stats.sent_payload_bytes += len(wire_payload)
-        self._c_data.inc()
-        self._c_raw.inc(len(payload))
-        self._c_wire.inc(len(wire_payload))
         if not ok:
-            self._c_fail.inc()
+            self.stats.send_failures += 1
         else:
             tracer.flow_begin(
                 (self.channel.channel_id, self._seq),
@@ -348,9 +337,10 @@ class Rebroadcaster:
             epoch=self.epoch,
         )
         self._last_control = self.machine.sim.now
-        yield from self._send(sock, packet.encode())
+        ok = yield from self._send(sock, packet.encode())
         self.stats.control_sent += 1
-        self._c_ctl.inc()
+        if not ok:
+            self.stats.control_send_failures += 1
 
     def add_wan_tap(self, tap) -> None:
         """Tee every outgoing wire packet to ``tap(wire)`` — the origin
@@ -375,7 +365,4 @@ class Rebroadcaster:
         # sendto syscall: trap + copyin of the datagram
         cycles = machine.syscall_cycles + machine.copy_cycles_per_byte * len(wire)
         yield machine.cpu.run(cycles, domain="sys")
-        ok = sock.sendto(wire, (self.channel.group_ip, self.channel.port))
-        if not ok:
-            self.stats.send_failures += 1
-        return ok
+        return sock.sendto(wire, (self.channel.group_ip, self.channel.port))

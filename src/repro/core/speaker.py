@@ -45,6 +45,14 @@ from repro.kernel.audio import AUDIO_SETINFO
 from repro.metrics.telemetry import get_telemetry
 from repro.sim.process import Process, ProcessKilled, Sleep
 
+#: schedule shifts up to this size (seconds) are jitter and ignored
+RESYNC_THRESHOLD = 0.250
+#: shifts up to this size could be a single control packet delayed on the
+#: wire, so they must be confirmed by a second control before
+#: re-anchoring; larger shifts (pause, producer restart) cannot be network
+#: delay and re-anchor immediately
+RESYNC_CONFIRM_WINDOW = 1.0
+
 
 @lru_cache(maxsize=16)
 def _synthetic_filler(nbytes: int) -> bytes:
@@ -107,8 +115,6 @@ class EthernetSpeaker:
         port: int,
         epsilon: float = 0.020,
         playout_delay: float = 0.400,
-        resync_threshold: float = 0.250,
-        resync_confirm_window: float = 1.0,
         rx_buffer_packets: int = 64,
         audio_path: str = "/dev/audio",
         verifier=None,
@@ -124,12 +130,6 @@ class EthernetSpeaker:
         self.port = port
         self.epsilon = epsilon
         self.playout_delay = playout_delay
-        self.resync_threshold = resync_threshold
-        #: shifts up to this size could be a single control packet delayed
-        #: on the wire, so they must be confirmed by a second control
-        #: before re-anchoring; larger shifts (pause, producer restart)
-        #: cannot be network delay and re-anchor immediately
-        self.resync_confirm_window = resync_confirm_window
         self.rx_buffer_packets = rx_buffer_packets
         self.audio_path = audio_path
         self.verifier = verifier
@@ -152,25 +152,9 @@ class EthernetSpeaker:
         self.name = name or f"es-{machine.name}"
         self.stats = SpeakerStats()
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        tel, label = self.telemetry, self.name
-        self._c_data_rx = tel.counter(f"speaker.data_rx[{label}]")
-        self._c_ctl_rx = tel.counter(f"speaker.control_rx[{label}]")
-        self._c_played = tel.counter(f"speaker.played[{label}]")
-        self._c_late = tel.counter(f"speaker.late_dropped[{label}]")
-        self._c_waiting = tel.counter(f"speaker.waiting_dropped[{label}]")
-        self._c_gaps = tel.counter(f"speaker.seq_gaps[{label}]")
-        self._c_garbage = tel.counter(f"speaker.garbage_rx[{label}]")
-        self._c_dup = tel.counter(f"speaker.dup_dropped[{label}]")
-        self._c_reorder = tel.counter(f"speaker.reorder_dropped[{label}]")
-        self._c_decode_failed = tel.counter(f"speaker.decode_failed[{label}]")
-        self._c_resyncs = tel.counter(f"speaker.resyncs[{label}]")
-        self._c_epoch_resyncs = tel.counter(f"speaker.epoch_resyncs[{label}]")
-        self._c_epoch_dropped = tel.counter(f"speaker.epoch_dropped[{label}]")
-        self._c_sock_drops = tel.counter(f"speaker.socket_drops[{label}]")
-        # hot-loop instruments are resolved once here: building the label
-        # f-string per packet showed up in the fan-out profile
-        self._c_concealed = tel.counter(f"speaker.concealed[{label}]")
-        self._g_rx_queue = tel.gauge(f"speaker.rx_queue[{label}]")
+        self._g_rx_queue = self.telemetry.gauge(
+            f"speaker.rx_queue[{self.name}]"
+        )
         self._last_arrival: Optional[float] = None
         self._last_block_seconds = 0.0
         self._proc: Optional[Process] = None
@@ -406,7 +390,6 @@ class EthernetSpeaker:
             packet = parse_packet(wire)
         except ProtocolError:
             self.stats.garbage_rx += 1
-            self._c_garbage.inc()
             return
         if isinstance(packet, ControlPacket):
             yield from self._handle_control(fd, packet)
@@ -430,7 +413,6 @@ class EthernetSpeaker:
         """
         if peek_type(payload) == TYPE_DATA:
             self.stats.socket_data_drops += 1
-            self._c_sock_drops.inc()
 
     @property
     def pending_data(self) -> int:
@@ -452,7 +434,6 @@ class EthernetSpeaker:
 
     def _handle_control(self, fd, packet: ControlPacket):
         self.stats.control_rx += 1
-        self._c_ctl_rx.inc()
         if (
             self._epoch is not None
             and packet.epoch != self._epoch
@@ -483,9 +464,7 @@ class EthernetSpeaker:
             self._playing_started = False
             self._reset_stream_state()
             self.stats.resyncs += 1
-            self._c_resyncs.inc()
             self.stats.epoch_resyncs += 1
-            self._c_epoch_resyncs.inc()
             self.telemetry.tracer.instant(
                 "speaker.epoch_resync", track=self.name, epoch=packet.epoch,
             )
@@ -500,10 +479,10 @@ class EthernetSpeaker:
                 now
                 - (self._resync_candidate[0]
                    + (packet.stream_pos - self._resync_candidate[1]))
-            ) <= self.resync_threshold
-            if shift <= self.resync_threshold:
+            ) <= RESYNC_THRESHOLD
+            if shift <= RESYNC_THRESHOLD:
                 self._resync_candidate = None
-            elif shift > self.resync_confirm_window or confirmed:
+            elif shift > RESYNC_CONFIRM_WINDOW or confirmed:
                 # re-anchor: either the shift is too large to be a packet
                 # delayed on the wire (producer restart, long pause), or
                 # two consecutive controls agreed on the new schedule
@@ -513,7 +492,6 @@ class EthernetSpeaker:
                 # and concealment state from the old one is meaningless now
                 self._reset_stream_state()
                 self.stats.resyncs += 1
-                self._c_resyncs.inc()
                 self.telemetry.tracer.instant(
                     "speaker.resync", track=self.name, shift=shift,
                 )
@@ -530,7 +508,6 @@ class EthernetSpeaker:
         tel = self.telemetry
         arrived = machine.sim.now
         self.stats.data_rx += 1
-        self._c_data_rx.inc()
         flight = tel.tracer.flow_end(
             (packet.channel_id, packet.seq), "packet.flight", track=self.name
         )
@@ -552,7 +529,6 @@ class EthernetSpeaker:
             # §2.3: "The Ethernet Speaker has to wait till it receives a
             # control packet before it can start playing"
             self.stats.waiting_dropped += 1
-            self._c_waiting.inc()
             return
         if packet.epoch != self._epoch:
             # wrong producer incarnation: either a straggler from a dead
@@ -560,7 +536,6 @@ class EthernetSpeaker:
             # from a new one whose control we have not seen yet — the
             # paper's wait-for-control rule applies per epoch
             self.stats.epoch_dropped += 1
-            self._c_epoch_dropped.inc()
             tel.tracer.instant("speaker.epoch_drop", track=self.name,
                                seq=packet.seq, epoch=packet.epoch)
             return
@@ -575,7 +550,6 @@ class EthernetSpeaker:
                 if packet.seq in self._recent_seqs:
                     # exact re-delivery of a block we already processed
                     self.stats.dup_dropped += 1
-                    self._c_dup.inc()
                     tel.tracer.instant("speaker.dup_drop", track=self.name,
                                        seq=packet.seq)
                 else:
@@ -583,14 +557,12 @@ class EthernetSpeaker:
                     # gap it left was already counted, and concealed if
                     # concealment is on)
                     self.stats.reorder_dropped += 1
-                    self._c_reorder.inc()
                     tel.tracer.instant("speaker.reorder_drop",
                                        track=self.name, seq=packet.seq)
                 return
             if delta > 1:
                 gap = delta - 1
                 self.stats.seq_gaps += gap
-                self._c_gaps.inc(gap)
                 tel.tracer.instant("speaker.gap", track=self.name,
                                    missing=gap)
         self._last_seq = packet.seq
@@ -606,7 +578,6 @@ class EthernetSpeaker:
             # be decoded: a payload corrupted in flight must not take the
             # whole speaker down
             self.stats.decode_failed += 1
-            self._c_decode_failed.inc()
             tel.tracer.instant("speaker.decode_failed", track=self.name,
                                seq=packet.seq)
             return
@@ -631,7 +602,6 @@ class EthernetSpeaker:
             # becomes the concealment context: it is the newest audio we
             # have, even if it missed its slot.
             self.stats.late_dropped += 1
-            self._c_late.inc()
             tel.tracer.instant("speaker.late_drop", track=self.name,
                                seq=packet.seq, late_by=now - deadline)
             self._last_pcm = pcm
@@ -645,7 +615,6 @@ class EthernetSpeaker:
                 self._bytes_written += len(self._last_pcm)
                 yield from machine.sys_write(fd, self._last_pcm)
                 self.stats.concealed += 1
-                self._c_concealed.inc()
         self._last_pcm = pcm
         if self._gap_started is not None:
             # first block committed after an outage (crash, hang, producer
@@ -666,7 +635,6 @@ class EthernetSpeaker:
         self._bytes_written += len(pcm)
         yield from machine.sys_write(fd, pcm)
         self.stats.played += 1
-        self._c_played.inc()
         if flight is not None:
             # producer send -> committed to the audio ring: the paper's
             # end-to-end path, playout buffering included

@@ -135,12 +135,12 @@ class EthernetSpeakerSystem:
         #: one decode cache shared by every speaker on this system, so N
         #: speakers on a channel decode each multicast block once (pass
         #: ``decode_cache=None`` to :meth:`add_speaker` to opt one out)
-        self.decode_cache = DecodeCache(telemetry=telemetry, name="system")
+        self.decode_cache = DecodeCache()
         #: origin-side mirror: one encode cache shared by every
         #: rebroadcaster, so looped playlists and same-source multi-channel
         #: stations encode each raw block once (pass ``encode_cache=None``
         #: to :meth:`add_rebroadcaster` to opt one out)
-        self.encode_cache = EncodeCache(telemetry=telemetry, name="system")
+        self.encode_cache = EncodeCache()
         self.lan = EthernetSegment(
             self.sim,
             bandwidth_bps=bandwidth_bps,
@@ -363,7 +363,6 @@ class EthernetSpeakerSystem:
         ``reorder_window``, ``corrupt_rate``, ``jitter``, ``seed`` —
         all seeded and itemised in :meth:`pipeline_report`.
         """
-        fault_kwargs.setdefault("telemetry", self.telemetry)
         injector = FaultInjector(
             self.sim,
             name=name or f"faults{len(self.fault_injectors)}",
@@ -390,8 +389,7 @@ class EthernetSpeakerSystem:
         fallback_timeout: float = 1.5,
         check_interval: float = 0.25,
         control_interval: float = 1.0,
-        nack: bool = False,
-        recovery: Optional[str] = None,
+        recovery: str = "none",
         retransmit_buffer: int = 64,
         nack_delay: Optional[float] = None,
         recover_timeout: Optional[float] = None,
@@ -413,13 +411,12 @@ class EthernetSpeakerSystem:
         :class:`~repro.net.wan.RelayNode` one tier up.  The hop's WAN
         profile (``bandwidth_bps``/``latency``/``jitter``/``loss_rate``)
         is per-hop; ``recovery`` picks the hop's loss-recovery ladder
-        (``"none"``/``"nack"``/``"fec"``/``"fec+nack"``; ``nack=True``
-        is the legacy alias for ``"nack"``) with the ``fec_*`` knobs
-        sizing the parity groups, ``fallback=True`` arms the local
-        filler source, and ``wan_faults=dict(...)`` attaches a dedicated
-        seeded :class:`~repro.net.faults.FaultInjector` to the uplink
-        (GE bursty loss, duplication, corruption, bounded reorder — the
-        knobs of :meth:`inject_faults`), itemised per hop in
+        (``"none"``/``"nack"``/``"fec"``/``"fec+nack"``) with the
+        ``fec_*`` knobs sizing the parity groups, ``fallback=True`` arms
+        the local filler source, and ``wan_faults=dict(...)`` attaches a
+        dedicated seeded :class:`~repro.net.faults.FaultInjector` to the
+        uplink (GE bursty loss, duplication, corruption, bounded reorder —
+        the knobs of :meth:`inject_faults`), itemised per hop in
         :meth:`pipeline_report`.
         """
         # imported here, not at module top: repro.net.wan reaches back
@@ -439,14 +436,13 @@ class EthernetSpeakerSystem:
             jitter=jitter, loss_rate=loss_rate,
             seed=(wan_seed if wan_seed is not None
                   else self._seed + 101 + len(self.wan_hops)),
-            name=f"wan:{name}", telemetry=self.telemetry,
+            name=f"wan:{name}",
         )
         if wan_faults:
             kwargs = dict(wan_faults)
             kwargs.setdefault(
                 "seed", self._seed + 301 + len(self.wan_fault_injectors)
             )
-            kwargs.setdefault("telemetry", self.telemetry)
             injector = FaultInjector(
                 self.sim, name=f"wanfaults:{name}", **kwargs
             )
@@ -455,7 +451,7 @@ class EthernetSpeakerSystem:
             # the whole speaker fleet, a WAN hop's by its subtree
             self.wan_fault_injectors.append(injector)
         hop = WanHop(
-            link, relay.ingest, nack=nack, recovery=recovery,
+            link, relay.ingest, recovery=recovery,
             retransmit_buffer=retransmit_buffer, nack_delay=nack_delay,
             recover_timeout=recover_timeout,
             fec_k=fec_k, fec_r=fec_r, fec_interleave=fec_interleave,
@@ -678,7 +674,6 @@ class EthernetSpeakerSystem:
         name = name or f"controller{len(self.controllers)}"
         machine = Machine(self.sim, name, cpu_freq_hz=cpu_freq_hz)
         self._attach_mgmt(machine)
-        controller_kwargs.setdefault("telemetry", self.telemetry)
         controller_kwargs.setdefault("seed", self._seed)
         controller = FleetController(machine, name=name, **controller_kwargs)
         if supervisor is not None:
@@ -740,7 +735,6 @@ class EthernetSpeakerSystem:
             interval=interval,
             channel_id_fn=channel_id,
             mgmt_port=MGMT_PORT,
-            telemetry=self.telemetry,
         )
         advertiser.start()
         node.advertiser = advertiser
@@ -773,7 +767,6 @@ class EthernetSpeakerSystem:
             interval=interval,
             channel_id_fn=lambda: rb.channel.channel_id,
             epoch_fn=lambda: rb.epoch,
-            telemetry=self.telemetry,
         )
         advertiser.start()
         rb.advertiser = advertiser
@@ -823,7 +816,6 @@ class EthernetSpeakerSystem:
             probe=probe,
             valid_time=valid_time,
             interval=interval,
-            telemetry=self.telemetry,
         )
         advertiser.start()
         relay.advertiser = advertiser
@@ -1049,10 +1041,11 @@ class EthernetSpeakerSystem:
         """The end-to-end telemetry view of this run.
 
         Latency/jitter percentiles come from the telemetry histograms
-        (empty when telemetry is disabled); the per-channel accounting
-        and conservation check work in either mode, from component
-        stats.  ``in_flight`` counts datagrams still queued in speaker
-        sockets — at quiescence it is zero and conservation reduces to
+        (empty when telemetry is disabled); every count, the per-channel
+        accounting and the conservation check come from component stats
+        (cohorts by member sums), so they read the same in either mode.
+        ``in_flight`` counts datagrams still queued in speaker sockets —
+        at quiescence it is zero and conservation reduces to
         ``sent == received + dropped``.
         """
         tel = self.telemetry
@@ -1080,18 +1073,13 @@ class EthernetSpeakerSystem:
                 ratio = sent_bytes / raw
             else:
                 ratio = 0.0 if suspended else 1.0
-            data_failures = (
-                tel.total(f"rebroadcaster.send_failures[ch{channel.channel_id}]")
-                if tel.enabled
-                else sum(rb.stats.send_failures for rb in rbs)
-            )
             channels.append(ChannelReport(
                 name=channel.name,
                 channel_id=channel.channel_id,
                 speakers=len(nodes) + sum(c.members for c in cohorts),
                 data_sent=sum(rb.stats.data_sent for rb in rbs),
                 control_sent=sum(rb.stats.control_sent for rb in rbs),
-                send_failures=data_failures,
+                send_failures=sum(rb.stats.send_failures for rb in rbs),
                 data_received=_members("data_rx"),
                 played=_members("played"),
                 late_dropped=_members("late_dropped"),

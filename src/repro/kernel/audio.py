@@ -75,10 +75,7 @@ class AudioDevice(CharDevice):
             from repro.metrics.telemetry import get_telemetry
             telemetry = get_telemetry()
         self.telemetry = telemetry
-        label = f"{machine.name}/{name}"
-        self._track = label
-        self._c_underruns = telemetry.counter(f"audio.underruns[{label}]")
-        self._c_hiwat = telemetry.counter(f"audio.hiwat_blocks[{label}]")
+        self._track = f"{machine.name}/{name}"
         self.params = AudioParams()
         self._chunks: deque[bytes] = deque()
         self._level = 0
@@ -90,6 +87,8 @@ class AudioDevice(CharDevice):
         self._close_requested = False
         # stats
         self.underruns = 0
+        #: writes that found the ring full and blocked at hiwat
+        self.hiwat_blocks = 0
         self.silence_bytes = 0
         self.bytes_written = 0
         self._recompute_sizes()
@@ -118,7 +117,7 @@ class AudioDevice(CharDevice):
         while offset < total:
             if self._level >= self.hiwat:
                 # high-water: the writer blocks until the ring drains
-                self._c_hiwat.inc()
+                self.hiwat_blocks += 1
                 self.telemetry.tracer.instant(
                     "buffer.hiwat", track=self._track, level=self._level
                 )
@@ -203,7 +202,6 @@ class AudioDevice(CharDevice):
             return None
         if self._silent_run == 0:
             self.underruns += 1
-            self._c_underruns.inc()
             self.telemetry.tracer.instant(
                 "buffer.underrun", track=self._track
             )

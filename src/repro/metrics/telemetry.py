@@ -1,19 +1,21 @@
-"""Process-wide but injectable telemetry: counters, gauges, histograms.
+"""Process-wide but injectable telemetry: gauges, histograms, a tracer.
 
 The paper's evaluation (§3) argues from quantities you can only get by
 instrumenting the running system — per-hop latency, jitter, buffer levels,
-CPU figures.  This module is that instrumentation layer:
+CPU figures.  Counts (packets sent, played, dropped, ...) live in exactly
+one place, the ``stats`` dataclass of the component that does the work;
+this module holds what a component cannot keep for itself:
 
-* a :class:`Telemetry` registry holding named :class:`Counter`,
-  :class:`Gauge` and fixed-bucket :class:`Histogram` instruments, plus a
+* a :class:`Telemetry` registry holding named :class:`Gauge` and
+  fixed-bucket :class:`Histogram` instruments, plus a
   :class:`~repro.metrics.trace.Tracer` bound to the same virtual clock;
 * a **disabled mode** (:data:`NULL`) whose instruments are shared no-op
   singletons, so instrumented hot paths cost one attribute call when
   telemetry is off and benchmarks stay honest;
 * :class:`PipelineReport`, the derived end-to-end view (latency
   percentiles, jitter, loss conservation, compression) that
-  :class:`~repro.core.system.EthernetSpeakerSystem` exposes and the
-  benchmarks consume.
+  :class:`~repro.core.system.EthernetSpeakerSystem` builds from component
+  stats and the benchmarks consume.
 
 Components take a ``telemetry=None`` constructor argument and fall back to
 the process-wide default (:func:`get_telemetry`), which starts as
@@ -22,8 +24,7 @@ mutating the global one; :func:`set_default` exists for whole-process runs
 (CLI tools, notebooks).
 
 Instrument names are dotted paths with an optional ``[label]`` suffix
-(``"rebroadcaster.data_sent[lobby]"``); :meth:`Telemetry.total` sums a
-metric across labels, which is what the conservation checks use.
+(``"speaker.rx_queue[es0]"``).
 """
 
 from __future__ import annotations
@@ -59,19 +60,6 @@ DEFAULT_TIME_BUCKETS = log_buckets(1e-6, 10.0, per_decade=4)
 DEFAULT_DEPTH_BUCKETS = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384,
 )
-
-
-class Counter:
-    """A monotonically increasing integer."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
 
 
 class Gauge:
@@ -171,13 +159,6 @@ class Histogram:
 # -- the disabled mode ----------------------------------------------------------
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
 class _NullGauge(Gauge):
     __slots__ = ()
 
@@ -195,7 +176,6 @@ class _NullHistogram(Histogram):
         pass
 
 
-_NULL_COUNTER = _NullCounter("null")
 _NULL_GAUGE = _NullGauge("null")
 _NULL_HISTOGRAM = _NullHistogram("null", (1.0,))
 
@@ -221,7 +201,6 @@ class Telemetry:
             clock = lambda: sim.now  # noqa: E731
         self.clock = clock or (lambda: 0.0)
         self.enabled = enabled
-        self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.tracer = (
@@ -229,14 +208,6 @@ class Telemetry:
         )
 
     # -- instrument access (get-or-create) ---------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        return c
 
     def gauge(self, name: str) -> Gauge:
         if not self.enabled:
@@ -257,10 +228,6 @@ class Telemetry:
 
     # -- one-shot conveniences ----------------------------------------------------
 
-    def count(self, name: str, n: int = 1) -> None:
-        if self.enabled:
-            self.counter(name).inc(n)
-
     def set_gauge(self, name: str, value: float) -> None:
         if self.enabled:
             self.gauge(name).set(value)
@@ -272,18 +239,8 @@ class Telemetry:
 
     # -- aggregation --------------------------------------------------------------
 
-    def total(self, metric: str) -> int:
-        """Sum a counter across labels: ``total("x.sent")`` adds
-        ``x.sent`` and every ``x.sent[...]``."""
-        prefix = metric + "["
-        return sum(
-            c.value for name, c in self.counters.items()
-            if name == metric or name.startswith(prefix)
-        )
-
     def snapshot(self) -> dict:
         return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
             "gauges": {
                 n: {"value": g.value, "min": g.min, "max": g.max}
                 for n, g in sorted(self.gauges.items()) if g.samples
@@ -294,14 +251,9 @@ class Telemetry:
         }
 
     def report(self) -> str:
-        """Everything, as ascii tables (counters, gauges, histograms,
-        span aggregates)."""
+        """Everything, as ascii tables (gauges, histograms, span
+        aggregates)."""
         parts = []
-        if self.counters:
-            parts.append("counters:\n" + ascii_table(
-                ["counter", "value"],
-                [[n, c.value] for n, c in sorted(self.counters.items())],
-            ))
         live_gauges = [
             (n, g) for n, g in sorted(self.gauges.items()) if g.samples
         ]
@@ -356,6 +308,8 @@ class ChannelReport:
     speakers: int
     data_sent: int = 0
     control_sent: int = 0
+    #: *data* sends the producer's socket refused (each loses a delivery
+    #: to every listener); failed control sends are not channel data
     send_failures: int = 0
     data_received: int = 0
     played: int = 0
@@ -427,7 +381,7 @@ class PipelineReport:
     #: empty when telemetry is disabled or delivery is unbatched
     fanout_batch: dict = field(default_factory=dict)
     #: encode-side cache (repro.codec.cache.EncodeCache), origin mirror of
-    #: the decode counters above.  Host-side accounting only: hits skip
+    #: the decode counts above.  Host-side accounting only: hits skip
     #: numpy work, never virtual CPU time, so these stay out-of-band of
     #: the conservation bound below
     encode_cache_hits: int = 0
@@ -449,7 +403,7 @@ class PipelineReport:
     cohort_members: int = 0       # receivers represented by cohort rows
     cohort_spills: int = 0        # members materialised as full speakers
     cohort_events_saved: int = 0  # delivery events one exemplar stood in for
-    #: WAN relay tree (repro.net.wan): link counters summed over every
+    #: WAN relay tree (repro.net.wan): link counts summed over every
     #: hop, NACK reliability activity, and relay fallback activity
     wan_sent: int = 0             # frames offered to WAN links (incl. retx)
     wan_delivered: int = 0        # frames the links delivered

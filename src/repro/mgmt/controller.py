@@ -67,7 +67,6 @@ from repro.mgmt.discovery import (
     DISCOVERY_SOLICIT_GROUP,
     lease_expired,
 )
-from repro.metrics.telemetry import get_telemetry
 from repro.platform.archive import pack_archive, unpack_archive
 from repro.sim.process import Process, Timeout
 
@@ -148,7 +147,6 @@ class FleetController:
         txn_retries: int = 3,
         seed: int = 0,
         auto_enumerate: bool = False,
-        telemetry=None,
     ):
         self.machine = machine
         self.sim = machine.sim
@@ -161,12 +159,6 @@ class FleetController:
         self.seed = seed
         self.auto_enumerate = auto_enumerate
         self.stack = machine.control_stack
-        self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self._c_adv = self.telemetry.counter(f"ctl.adp_advertises[{name}]")
-        self._c_exp = self.telemetry.counter(f"ctl.adp_expiries[{name}]")
-        self._c_conn = self.telemetry.counter(f"ctl.acmp_connects[{name}]")
-        self._c_fail = self.telemetry.counter(f"ctl.acmp_failures[{name}]")
-        self._c_enum = self.telemetry.counter(f"ctl.enumerations[{name}]")
         self.entities: Dict[int, EntityRecord] = {}
         self.stats = ControllerStats()
         self.supervisor = None
@@ -304,7 +296,6 @@ class FleetController:
                 rec.epoch = pkt.epoch
                 rec.last_seen = self.sim.now
                 self.stats.adp_advertises += 1
-                self._c_adv.inc()
                 return
             returning = rec is not None
             rec = EntityRecord(
@@ -321,7 +312,6 @@ class FleetController:
             )
             self.entities[pkt.entity_id] = rec
             self.stats.adp_advertises += 1
-            self._c_adv.inc()
             if returning and self.supervisor is not None:
                 self.supervisor.notify_returned(rec.name)
             if self.on_available is not None:
@@ -356,7 +346,6 @@ class FleetController:
                 rec.state = ENT_EXPIRED
                 rec.expired_at = now
                 self.stats.expiries += 1
-                self._c_exp.inc()
                 if self.supervisor is not None:
                     self.supervisor.notify_lease_expired(rec.name)
                 if self.on_expired is not None:
@@ -472,7 +461,6 @@ class FleetController:
             return False
         rec.descriptor = descriptor
         self.stats.enumerations += 1
-        self._c_enum.inc()
         return True
 
     def set_gain(self, entity_id: int, gain: float) -> Process:
@@ -565,13 +553,11 @@ class FleetController:
         self.stats.acmp_retries += resends
         if not ok:
             self.stats.acmp_failures += 1
-            self._c_fail.inc()
             return False
         if message_type == ACMP_CONNECT_RX_COMMAND:
             rec.connected = (group_ip, port, channel_id)
             rec.channel_id = channel_id
             self.stats.acmp_connects += 1
-            self._c_conn.inc()
             if self.on_connected is not None:
                 self.on_connected(rec, channel_id)
         else:

@@ -40,7 +40,6 @@ from repro.core.protocol import (
     ProtocolError,
     parse_packet,
 )
-from repro.metrics.telemetry import get_telemetry
 from repro.sim.core import SimError
 from repro.sim.process import Process, Sleep, Timeout
 
@@ -124,7 +123,6 @@ class EntityAdvertiser:
         group: str = DISCOVERY_GROUP,
         port: int = DISCOVERY_PORT,
         stack=None,
-        telemetry=None,
     ):
         if valid_time <= 0:
             raise ValueError("valid_time must be positive")
@@ -143,8 +141,6 @@ class EntityAdvertiser:
         self.group = group
         self.port = port
         self.stack = stack if stack is not None else machine.control_stack
-        self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self._c_adv = self.telemetry.counter(f"adp.advertises[{self.name}]")
         self.stats = AdvertiserStats()
         self.available_index = 0
         self._seq = 0
@@ -205,7 +201,6 @@ class EntityAdvertiser:
             self._packet(ADP_AVAILABLE).encode(), (self.group, self.port)
         )
         self.stats.advertises += 1
-        self._c_adv.inc()
 
     def _open_solicit_listener(self):
         """Bind the discovery port and join the solicitation group.

@@ -29,10 +29,10 @@ whose lease comes back (the controller sees it return) is marked up
 again.  The worst-case fault-to-restart latency is
 ``valid_time + check_interval + restart_delay``.
 
-Lease expiries, downs and restarts land in telemetry
-(``supervisor.{lease_expiries,restarts}[node]``) and restarts are folded
-into ``pipeline_report()`` so a run's self-healing activity shows up
-next to its audio ledger.
+Lease expiries, downs and restarts are counted in
+:class:`SupervisorStats` (restarts also per node) and marked on the
+trace; restarts are folded into ``pipeline_report()`` so a run's
+self-healing activity shows up next to its audio ledger.
 """
 
 from __future__ import annotations
@@ -145,7 +145,6 @@ class Supervisor:
         if self._probes[name]():
             return False          # lease lapse was transient; node is fine
         self.stats.lease_expiries += 1
-        self.telemetry.counter(f"supervisor.lease_expiries[{name}]").inc()
         health.status = DOWN
         self.stats.nodes_down += 1
         self.telemetry.tracer.instant(
@@ -174,7 +173,6 @@ class Supervisor:
         self._restarts[name]()
         health.restarts += 1
         self.stats.restarts += 1
-        self.telemetry.counter(f"supervisor.restarts[{name}]").inc()
         self.telemetry.tracer.instant(
             "supervisor.restart", track=self.name, node=name,
         )

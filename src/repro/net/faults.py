@@ -26,11 +26,10 @@ A :class:`FaultInjector` attaches to any link exposing
 :class:`~repro.net.switch.SwitchedSegment`, and — since the recovery
 ladder — :class:`~repro.net.wan.WanLink`, which requires a dedicated
 injector per link because its counters feed the per-hop conservation
-budget) and intercepts the per-receiver delivery decision.  Every injected fault increments both a
-:class:`FaultStats` field and a telemetry counter
-(``faults.{lost,duplicated,reordered,corrupted}[name]``), which is what
-keeps the pipeline's packet-conservation ledger closed: the report can
-itemise exactly how many copies the injector killed, minted, or mangled.
+budget) and intercepts the per-receiver delivery decision.  Every injected
+fault increments a :class:`FaultStats` field, which is what keeps the
+pipeline's packet-conservation ledger closed: the report can itemise
+exactly how many copies the injector killed, minted, or mangled.
 
 Everything is driven by one seeded ``numpy`` generator, so a faulty run
 is exactly as reproducible as a clean one.
@@ -173,7 +172,6 @@ class FaultInjector:
         jitter: float = 0.0,
         seed: int = 1,
         name: str = "faults0",
-        telemetry=None,
     ):
         for pname, p in (("loss_rate", loss_rate),
                          ("duplicate_rate", duplicate_rate),
@@ -199,16 +197,6 @@ class FaultInjector:
         self._chains: Dict[object, GilbertElliott] = {}
         self._held: Dict[object, List[_Held]] = {}
         self.links: List[object] = []
-        if telemetry is None:
-            from repro.metrics.telemetry import get_telemetry
-
-            telemetry = get_telemetry()
-        self.telemetry = telemetry
-        self._c_lost = telemetry.counter(f"faults.lost[{name}]")
-        self._c_dup = telemetry.counter(f"faults.duplicated[{name}]")
-        self._c_reorder = telemetry.counter(f"faults.reordered[{name}]")
-        self._c_corrupt = telemetry.counter(f"faults.corrupted[{name}]")
-        self._c_flushed = telemetry.counter(f"faults.flushed[{name}]")
 
     # -- attachment ---------------------------------------------------------------
 
@@ -245,7 +233,6 @@ class FaultInjector:
                     self.sim.schedule_transient(0.0, nic.deliver, entry.dgram)
             held.clear()
         self.stats.flushed += flushed
-        self._c_flushed.inc(flushed)
         return flushed
 
     @property
@@ -278,20 +265,17 @@ class FaultInjector:
         rng = self._rng
         if self.loss_rate and self._chain(nic).lose():
             self.stats.lost += 1
-            self._c_lost.inc()
             return "lost"
         copies = 1
         if self.duplicate_rate and rng.random() < self.duplicate_rate:
             copies = 2
             self.stats.duplicated += 1
-            self._c_dup.inc()
         clean = False
         for i in range(copies):
             copy = dgram
             if self.corrupt_rate and rng.random() < self.corrupt_rate:
                 copy = self._corrupt(dgram)
                 self.stats.corrupted += 1
-                self._c_corrupt.inc()
             copy_delay = delay + i * self.duplicate_lag
             if self.jitter:
                 extra = rng.uniform(0.0, self.jitter)
@@ -326,7 +310,6 @@ class FaultInjector:
         entry = _Held(dgram, self.reorder_window)
         self._held.setdefault(nic, []).append(entry)
         self.stats.reordered += 1
-        self._c_reorder.inc()
         # safety valve: if the stream stops while this copy is parked,
         # release it anyway so nothing dangles past quiescence
         self.sim.schedule(delay + self.reorder_hold,

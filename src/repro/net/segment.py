@@ -11,8 +11,9 @@ on slow links.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
@@ -22,6 +23,16 @@ from repro.sim.core import Simulator
 #: bucket bounds for the fan-out batch-size histogram (receivers per
 #: scheduled delivery event)
 FANOUT_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+
+def queued_frames(finish_times: Deque[float], now: float) -> int:
+    """Frames still queued or on the wire at ``now``, given the ascending
+    finish times of the frames a link accepted (finished ones are
+    dropped).  Both links bound their backlog by this count of frames,
+    whatever each frame's size."""
+    while finish_times and finish_times[0] <= now:
+        finish_times.popleft()
+    return len(finish_times)
 
 
 def deliver_batch(nics, dgram) -> None:
@@ -148,7 +159,8 @@ class EthernetSegment:
         self.stats = SegmentStats()
         self._rng = np.random.default_rng(seed)
         self._nics: List["Nic"] = []
-        self._wire_free_at = 0.0
+        #: finish times of the frames still queued or on the wire
+        self._pending: Deque[float] = deque()
         self._taps: List[Callable[[Datagram], None]] = []
         #: optional FaultInjector interposed on receiver deliveries
         self.faults = None
@@ -177,13 +189,12 @@ class EthernetSegment:
         and the frame was dropped at the sender."""
         now = self.sim.now
         tx_time = dgram.wire_size * 8 / self.bandwidth_bps
-        backlog = max(0.0, self._wire_free_at - now)
-        if backlog / max(tx_time, 1e-12) > self.max_backlog:
+        pending = self._pending
+        if queued_frames(pending, now) > self.max_backlog:
             self.stats.frames_dropped += 1
             return False
-        start = max(now, self._wire_free_at)
-        done = start + tx_time
-        self._wire_free_at = done
+        done = (pending[-1] if pending else now) + tx_time
+        pending.append(done)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += dgram.wire_size
         self.stats.busy_seconds += tx_time

@@ -16,8 +16,9 @@ and monitors work unchanged on either.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from repro.net.segment import (
     FANOUT_BOUNDS,
     cohort_fates,
     deliver_batch,
+    queued_frames,
 )
 from repro.sim.core import Simulator
 
@@ -48,9 +50,11 @@ class SwitchedSegment:
 
     Each port has independent ingress and egress serialisation at
     ``port_bps``.  ``igmp_snooping`` prunes multicast to joined ports;
-    when off, multicast floods like broadcast.  Like the shared segment,
-    a jitter-free switch with no fault injector schedules one delivery
-    event per group of ports sharing a delivery instant.
+    when off, multicast floods like broadcast.  ``max_egress_backlog``
+    bounds the frames queued on one egress port; beyond it copies drop.
+    Like the shared segment, a jitter-free switch with no fault injector
+    schedules one delivery event per group of ports sharing a delivery
+    instant.
     """
 
     def __init__(
@@ -70,11 +74,6 @@ class SwitchedSegment:
             raise ValueError("port bandwidth must be positive")
         self.sim = sim
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        tel = self.telemetry
-        self._c_switched = tel.counter(f"switch.frames_switched[{name}]")
-        self._c_flooded = tel.counter(f"switch.frames_flooded[{name}]")
-        self._c_dropped = tel.counter(f"switch.frames_dropped[{name}]")
-        self._c_bytes = tel.counter(f"switch.bytes_in[{name}]")
         self.port_bps = float(port_bps)
         self.latency = latency
         self.jitter = jitter
@@ -86,7 +85,9 @@ class SwitchedSegment:
         self._rng = np.random.default_rng(seed)
         self._nics: List = []
         self._ingress_free: Dict[int, float] = {}
-        self._egress_free: Dict[int, float] = {}
+        #: per egress port: finish times of the copies still queued or on
+        #: the wire
+        self._egress: Dict[int, Deque[float]] = {}
         self._taps: List[Callable[[Datagram], None]] = []
         #: optional FaultInjector interposed on forwarded copies
         self.faults = None
@@ -118,7 +119,6 @@ class SwitchedSegment:
         in_done = in_start + tx_time
         self._ingress_free[in_port] = in_done
         self.stats.bytes_in += dgram.wire_size
-        self._c_bytes.inc(dgram.wire_size)
 
         receivers = self._select_ports(dgram, sender)
         for tap in self._taps:
@@ -133,18 +133,18 @@ class SwitchedSegment:
         groups: Dict[float, List] = {}
         delivered_any = False
         for nic in receivers:
-            out_port = id(nic)
-            egress_free = self._egress_free.get(out_port, 0.0)
-            backlog = max(0.0, egress_free - now) / max(tx_time, 1e-12)
+            queue = self._egress.get(id(nic))
+            if queue is None:
+                queue = self._egress[id(nic)] = deque()
+            backlog = queued_frames(queue, now)
             if backlog > self.max_egress_backlog:
                 self.stats.frames_dropped += 1
-                self._c_dropped.inc()
                 tracer.instant("switch.drop", track=f"{self.name}:{nic.name}",
-                               backlog=int(backlog))
+                               backlog=backlog)
                 continue
-            out_start = max(in_done, egress_free)
+            out_start = max(in_done, queue[-1]) if queue else in_done
             out_done = out_start + tx_time
-            self._egress_free[out_port] = out_done
+            queue.append(out_done)
             if tel.enabled:
                 # one complete event per forwarded copy: queueing +
                 # serialisation on the egress port (the forward is
@@ -196,12 +196,10 @@ class SwitchedSegment:
         candidates = [n for n in self._nics if n is not sender]
         if is_broadcast(dgram.dst_ip):
             self.stats.frames_flooded += 1
-            self._c_flooded.inc()
             return [n for n in candidates if n.vlan == dgram.vlan]
         if is_multicast(dgram.dst_ip):
             if self.igmp_snooping:
                 self.stats.frames_switched += 1
-                self._c_switched.inc()
                 return [
                     n for n in candidates
                     if n.vlan == dgram.vlan and (
@@ -209,7 +207,6 @@ class SwitchedSegment:
                     )
                 ]
             self.stats.frames_flooded += 1
-            self._c_flooded.inc()
             return [n for n in candidates if n.vlan == dgram.vlan]
         # unicast: forward only to the owning port (the "MAC table")
         matches = [
@@ -218,11 +215,9 @@ class SwitchedSegment:
         ]
         if matches:
             self.stats.frames_switched += 1
-            self._c_switched.inc()
             return matches
         # unknown destination: flood, like a real switch
         self.stats.frames_flooded += 1
-        self._c_flooded.inc()
         return [n for n in candidates if n.vlan == dgram.vlan]
 
     @property

@@ -111,9 +111,8 @@ class WanLink:
     sweep across loss rates delivers the surviving frames at identical
     times and stays comparable frame-for-frame.
 
-    Counters (also exported as ``wan.sent/delivered/lost/retransmits``
-    telemetry, labelled by link name) let ``pipeline_report()`` close the
-    conservation ledger across WAN hops.
+    Counters (``sent``/``delivered``/``lost``/``retransmits``) let
+    ``pipeline_report()`` close the conservation ledger across WAN hops.
     """
 
     def __init__(
@@ -125,7 +124,6 @@ class WanLink:
         loss_rate: float = 0.0,
         seed: int = 0,
         name: str = "wan0",
-        telemetry=None,
     ):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -146,12 +144,6 @@ class WanLink:
         self.lost = 0
         self.retransmits = 0
         self.bytes_sent = 0
-        tel = telemetry if telemetry is not None else get_telemetry()
-        self.telemetry = tel
-        self._c_sent = tel.counter(f"wan.sent[{name}]")
-        self._c_delivered = tel.counter(f"wan.delivered[{name}]")
-        self._c_lost = tel.counter(f"wan.lost[{name}]")
-        self._c_retx = tel.counter(f"wan.retransmits[{name}]")
 
     def set_fault_injector(self, faults) -> None:
         """Interpose a :class:`~repro.net.faults.FaultInjector` on this
@@ -201,17 +193,14 @@ class WanLink:
         self._free_at = start + tx_time
         self.sent += 1
         self.bytes_sent += len(payload)
-        self._c_sent.inc()
         if retransmit:
             self.retransmits += 1
-            self._c_retx.inc()
         # the jitter draw happens for *every* frame, before the loss draw
         # and from its own stream — a lost frame consumes its jitter value
         # so the survivors' delivery times are loss-rate-invariant
         jit = self._jitter_rng.uniform(0.0, self.jitter) if self.jitter else 0.0
         if self.loss_rate and self._loss_rng.random() < self.loss_rate:
             self.lost += 1
-            self._c_lost.inc()
             return False
         delay = (start + tx_time - now) + self.latency + jit
         if self.faults is not None:
@@ -232,7 +221,6 @@ class WanLink:
 
     def _deliver(self, payload: bytes, deliver: Callable[[bytes], None]):
         self.delivered += 1
-        self._c_delivered.inc()
         deliver(payload)
 
     def reset(self) -> None:
@@ -288,16 +276,13 @@ class WanHop:
     idempotent anchors, and holding them would only delay re-anchoring.
     Parity frames are hop-local: consumed here, never forwarded, so FEC
     overhead on one hop is invisible to the rest of the tree.
-    ``nack=True`` is accepted as a back-compat alias for
-    ``recovery="nack"``.
     """
 
     def __init__(
         self,
         link: WanLink,
         deliver: Callable[[bytes], None],
-        nack: bool = False,
-        recovery: Optional[str] = None,
+        recovery: str = "none",
         retransmit_buffer: int = 64,
         nack_delay: Optional[float] = None,
         recover_timeout: Optional[float] = None,
@@ -305,11 +290,8 @@ class WanHop:
         fec_r: int = 1,
         fec_interleave: int = 1,
         fec_flush_timeout: float = 0.25,
-        fec_window: int = 256,
         name: str = "",
     ):
-        if recovery is None:
-            recovery = "nack" if nack else "none"
         if recovery not in RECOVERY_POLICIES:
             raise ValueError(
                 f"recovery={recovery!r} not one of {RECOVERY_POLICIES}"
@@ -317,8 +299,7 @@ class WanHop:
         self.link = link
         self.sim = link.sim
         self.recovery = recovery
-        #: NACK messages enabled (kept as a public bool for callers that
-        #: predate the ladder)
+        #: NACK messages enabled
         self.nack = recovery in ("nack", "fec+nack")
         self._fec_on = recovery in ("fec", "fec+nack")
         self._resequencing = recovery != "none"
@@ -372,9 +353,7 @@ class WanHop:
         self._gen = 0  # invalidates scheduled NACK/deadline callbacks
         self._reassembler: Optional[FecReassembler] = None
         if self._fec_on:
-            self._reassembler = FecReassembler(
-                stats=self.fec, window=fec_window,
-            )
+            self._reassembler = FecReassembler(stats=self.fec)
 
     @property
     def pending(self) -> int:
@@ -705,10 +684,7 @@ class RelayNode:
         self.alive = True
         self.frozen = False
         self.stats = RelayStats()
-        tel = telemetry if telemetry is not None else get_telemetry()
-        self.telemetry = tel
-        self._c_fwd = tel.counter(f"relay.forwarded[{name}]")
-        self._c_filler = tel.counter(f"relay.filler[{name}]")
+        self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.downlinks: List[WanHop] = []
         self.leaf_lans: List = []           # LeafLan records (system glue)
         self.uplink: Optional[WanHop] = None
@@ -769,7 +745,6 @@ class RelayNode:
         if off:
             wire = restamp_epoch(wire, (epoch + off) % EPOCH_MOD)
         self.stats.forwarded += 1
-        self._c_fwd.inc()
         self._fan_out(wire, channel_id)
 
     def _fan_out(self, wire: bytes, channel_id: int) -> None:
@@ -900,7 +875,6 @@ class RelayNode:
             )
             st["play_at"] += st["dur"]
             self.stats.filler_data += 1
-            self._c_filler.inc()
             self._fan_out(packet.encode(), cid)
         self.sim.schedule(st["dur"], self._filler_data, cid, gen)
 

@@ -15,7 +15,6 @@ import pytest
 from repro.audio import CD_QUALITY, AudioEncoding, AudioParams, music
 from repro.codec import CodecID, EncodeCache, EncodedBlock
 from repro.core import EthernetSpeakerSystem
-from repro.metrics.telemetry import Telemetry
 
 PAYLOAD = b"\x5a\xa5" * 300
 PARAMS_A = AudioParams(AudioEncoding.SLINEAR16, 44100, 2)
@@ -88,8 +87,7 @@ def test_lru_recency_protects_hot_entries():
 
 
 def test_stats_and_telemetry_counters_track():
-    tel = Telemetry()
-    cache = EncodeCache(max_entries=4, telemetry=tel, name="t")
+    cache = EncodeCache(max_entries=4)
     key = cache.key_for(PAYLOAD, CodecID.VORBIS_LIKE, PARAMS_A, 10)
     assert cache.get(key) is None
     cache.put(key, EncodedBlock(b"x"))
@@ -97,8 +95,6 @@ def test_stats_and_telemetry_counters_track():
     assert cache.stats.misses == 1
     assert cache.stats.hits == 1
     assert cache.stats.hit_rate == 0.5
-    assert tel.total("codec.encode_cache.hits") == 1
-    assert tel.total("codec.encode_cache.misses") == 1
 
 
 def test_invalid_bound_rejected():

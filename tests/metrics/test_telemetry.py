@@ -8,7 +8,6 @@ from repro.metrics.telemetry import (
     DEFAULT_TIME_BUCKETS,
     NULL,
     ChannelReport,
-    Counter,
     Gauge,
     Histogram,
     PipelineReport,
@@ -19,13 +18,6 @@ from repro.metrics.telemetry import (
 )
 
 # -- instruments -------------------------------------------------------------
-
-
-def test_counter_increments():
-    c = Counter("x")
-    c.inc()
-    c.inc(5)
-    assert c.value == 6
 
 
 def test_gauge_tracks_extremes():
@@ -115,28 +107,16 @@ def test_histogram_median_accuracy():
 
 def test_get_or_create_returns_same_instrument():
     tel = Telemetry()
-    assert tel.counter("a") is tel.counter("a")
     assert tel.gauge("g") is tel.gauge("g")
     assert tel.histogram("h") is tel.histogram("h")
 
 
 def test_conveniences_record():
     tel = Telemetry()
-    tel.count("c", 3)
     tel.set_gauge("g", 1.5)
     tel.observe("h", 0.01)
-    assert tel.counters["c"].value == 3
     assert tel.gauges["g"].value == 1.5
     assert tel.histograms["h"].count == 1
-
-
-def test_total_sums_across_labels():
-    tel = Telemetry()
-    tel.count("rb.sent[ch1]", 10)
-    tel.count("rb.sent[ch2]", 5)
-    tel.count("rb.sent", 1)
-    tel.count("rb.sent_failures", 99)  # different metric, not a label of rb.sent
-    assert tel.total("rb.sent") == 16
 
 
 def test_clock_binds_to_sim():
@@ -150,15 +130,13 @@ def test_clock_binds_to_sim():
 
 def test_snapshot_and_report_render():
     tel = Telemetry()
-    tel.count("c", 2)
     tel.set_gauge("g", 3.0)
     tel.observe("h", 0.5)
     snap = tel.snapshot()
-    assert snap["counters"]["c"] == 2
     assert snap["gauges"]["g"]["max"] == 3.0
     assert snap["histograms"]["h"]["count"] == 1
     text = tel.report()
-    assert "counters" in text and "histograms" in text
+    assert "gauges" in text and "histograms" in text
 
 
 def test_empty_report():
@@ -169,23 +147,16 @@ def test_empty_report():
 
 
 def test_null_registry_hands_out_shared_noops():
-    assert NULL.counter("a") is NULL.counter("b")
     assert NULL.gauge("a") is NULL.gauge("b")
     assert NULL.histogram("a") is NULL.histogram("b")
     assert not NULL.tracer.enabled
 
 
 def test_null_instruments_record_nothing():
-    NULL.count("x", 100)
     NULL.set_gauge("y", 1.0)
     NULL.observe("z", 1.0)
-    c = NULL.counter("x")
-    c.inc(50)
-    assert c.value == 0
-    assert NULL.counters == {}
     assert NULL.gauges == {}
     assert NULL.histograms == {}
-    assert NULL.total("x") == 0
 
 
 def test_disabled_tracer_span_is_null_token():

@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.metrics.telemetry import Telemetry
 from repro.net.faults import FaultInjector, GilbertElliott
 from repro.net.segment import Datagram, EthernetSegment
 from repro.net.nic import Nic
@@ -232,17 +231,20 @@ def test_same_seed_same_fate():
 
 
 def test_faults_counted_in_telemetry():
-    tel = Telemetry()
+    """Every fault kind is counted in the injector's stats, and with all
+    of them on at once the counts still balance the receiver's copies."""
     sim = Simulator()
     inj = FaultInjector(sim, loss_rate=0.1, duplicate_rate=0.1,
                         corrupt_rate=0.1, reorder_rate=0.1, seed=13,
-                        name="lan0", telemetry=tel)
-    drive(inj, Receiver(sim), 3000)
+                        name="lan0")
+    rx = Receiver(sim)
+    drive(inj, rx, 3000)
     st = inj.stats
-    assert tel.counters["faults.lost[lan0]"].value == st.lost > 0
-    assert tel.counters["faults.duplicated[lan0]"].value == st.duplicated > 0
-    assert tel.counters["faults.reordered[lan0]"].value == st.reordered > 0
-    assert tel.counters["faults.corrupted[lan0]"].value == st.corrupted > 0
+    assert st.lost > 0
+    assert st.duplicated > 0
+    assert st.reordered > 0
+    assert st.corrupted > 0
+    assert len(rx.got) == 3000 - st.lost + st.duplicated
 
 
 def test_injector_attaches_to_segment_and_switch():

@@ -11,6 +11,7 @@ from repro.net import (
     wire_bytes,
 )
 from repro.net.addr import ETHER_OVERHEAD, UDP_IP_OVERHEAD, MTU
+from repro.net.switch import SwitchedSegment
 from repro.sim import Simulator
 
 
@@ -165,6 +166,30 @@ def test_backlog_overflow_drops_frames():
         ok += lan.transmit(Datagram("10.0.0.1", 1, "10.0.0.2", 2, bytes(1400)))
     assert ok < 50
     assert lan.stats.frames_dropped == 50 - ok
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_backlog_bound_counts_frames_not_bytes(switched):
+    """A small frame offered behind fewer than ``max_backlog`` large
+    frames is accepted: the bound counts frames, so a control packet
+    queued behind a few full-size data frames is not read as a backlog
+    of hundreds of its own size."""
+    sim = Simulator()
+    if switched:
+        link = SwitchedSegment(sim, port_bps=10e6, latency=0.0,
+                               max_egress_backlog=5)
+    else:
+        link = make_lan(sim, bandwidth_bps=10e6, max_backlog=5)
+    sender = Nic(link, "10.0.0.1")
+    Nic(link, "10.0.0.2")
+    for _ in range(4):
+        assert link.transmit(
+            Datagram("10.0.0.1", 1, "10.0.0.2", 2, bytes(1400)), sender
+        )
+    assert link.transmit(
+        Datagram("10.0.0.1", 1, "10.0.0.2", 2, bytes(100)), sender
+    )
+    assert link.stats.frames_dropped == 0
 
 
 def test_loss_rate_drops_proportionally():

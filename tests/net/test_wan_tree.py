@@ -184,15 +184,15 @@ def test_reordering_wan_keeps_leaf_monotonic():
 
 
 def test_nack_recovers_lost_frames():
-    def run(nack):
+    def run(recovery):
         s, p, spk = build_tree(seed=3, tiers=1, latency=0.03, loss_rate=0.08,
-                               wan_seed=11, nack=nack)
+                               wan_seed=11, recovery=recovery)
         s.play_synthetic(p, 10.0, LOW)
         s.run(until=12.0)
         return s, spk
 
-    s0, spk0 = run(False)
-    s1, spk1 = run(True)
+    s0, spk0 = run("none")
+    s1, spk1 = run("nack")
     hop = s1.wan_hops[0]
     assert hop.stats.nacks_sent > 0
     assert hop.stats.recovered > 0

@@ -10,7 +10,10 @@ per-object implementation does (same results, same simulator events):
 * :func:`scalar_codec_kernels` and :class:`ScalarCodec` force the codecs'
   batch kernels onto their ``_reference_*`` fallback loops;
 * :func:`per_object_cohort` builds N ordinary speakers behind the
-  cohort member API.
+  cohort member API;
+* :func:`report_counts` is the integer view of a
+  :class:`~repro.metrics.telemetry.PipelineReport` that the telemetry
+  on/off differentials compare.
 
 A cache-off arm needs no oracle: pass ``decode_cache=None`` to
 ``add_speaker`` or ``encode_cache=None`` to ``add_rebroadcaster``.
@@ -18,8 +21,9 @@ A cache-off arm needs no oracle: pass ``decode_cache=None`` to
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import ExitStack, contextmanager
-from typing import List
+from typing import Dict, List
 from unittest import mock
 
 from repro.codec import mp3like, vorbislike
@@ -103,3 +107,23 @@ def per_object_cohort(system, channel, members: int) -> PerObjectCohort:
         system.add_speaker(channel=channel, name=f"{name}-m{i}")
         for i in range(members)
     ])
+
+
+def report_counts(report) -> Dict[str, object]:
+    """Every int field of ``report`` and of each of its channels, plus
+    the conservation residual and verdict.  ``trace_events`` is left out:
+    it counts the trace itself, which a run without telemetry does not
+    keep."""
+    counts: Dict[str, object] = {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if isinstance(getattr(report, f.name), int)
+        and f.name != "trace_events"
+    }
+    for ch in report.channels:
+        for f in dataclasses.fields(ch):
+            if isinstance(getattr(ch, f.name), int):
+                counts[f"{ch.name}.{f.name}"] = getattr(ch, f.name)
+    counts["conservation_residual"] = report.conservation_residual
+    counts["conservation_ok"] = report.conservation_ok
+    return counts

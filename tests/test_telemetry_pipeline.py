@@ -6,7 +6,8 @@ asserts one invariant from the ISSUE's acceptance list:
 
 * **conservation**: every multicast delivery the producer paid for is at a
   speaker, in a drop counter, or still in flight — asserted from the
-  telemetry *counters*, independently of the component stats;
+  component stats and the sockets' own counts, independently of the
+  report's ledger;
 * the :class:`PipelineReport` has non-zero latency percentiles;
 * the exported Chrome trace is valid JSON with the expected span names.
 """
@@ -15,9 +16,10 @@ import json
 
 import pytest
 
-from repro.audio import AudioEncoding, AudioParams, sine
+from repro.audio import CD_QUALITY, AudioEncoding, AudioParams, sine
 from repro.core import EthernetSpeakerSystem
 from repro.metrics.telemetry import Telemetry
+from tests.oracles import report_counts
 
 PARAMS = AudioParams(AudioEncoding.SLINEAR16, 8000, 1)
 N_SPEAKERS = 3
@@ -49,14 +51,17 @@ def lossy():
     return _run_system(loss_rate=0.05)
 
 
-# -- conservation, from the counters themselves ------------------------------
+# -- conservation, from the component stats ----------------------------------
+
+
+def _sum_stats(system, field):
+    return sum(getattr(rb.stats, field) for rb in system.rebroadcasters)
 
 
 def test_counter_conservation_lossless(lossless):
-    tel = lossless.telemetry
-    sent = tel.total("rebroadcaster.data_sent")
-    failures = tel.total("rebroadcaster.send_failures")
-    received = tel.total("speaker.data_rx")
+    sent = _sum_stats(lossless, "data_sent")
+    failures = _sum_stats(lossless, "send_failures")
+    received = sum(n.stats.data_rx for n in lossless.speakers)
     assert sent > 0
     sock_drops = sum(n.speaker._sock.drops for n in lossless.speakers)
     in_flight = sum(n.speaker._sock.queued for n in lossless.speakers)
@@ -66,40 +71,20 @@ def test_counter_conservation_lossless(lossless):
 
 
 def test_counter_conservation_lossy_bounded_by_wire_losses(lossy):
-    tel = lossy.telemetry
-    sent = tel.total("rebroadcaster.data_sent")
-    received = tel.total("speaker.data_rx")
+    sent = _sum_stats(lossy, "data_sent")
+    received = sum(n.stats.data_rx for n in lossy.speakers)
     losses = lossy.lan.stats.receiver_losses
     assert losses > 0, "5% loss over thousands of copies must lose some"
     residual = sent * N_SPEAKERS - (
         received
         + sum(n.speaker._sock.drops for n in lossy.speakers)
         + sum(n.speaker._sock.queued for n in lossy.speakers)
-        + tel.total("rebroadcaster.send_failures") * N_SPEAKERS
+        + _sum_stats(lossy, "send_failures") * N_SPEAKERS
     )
     # the unaccounted deliveries are exactly the copies lost on the wire
     # (receiver_losses also counts lost *control* copies, so the data
     # residual is bounded by, not equal to, the loss counter)
     assert 0 < residual <= losses
-
-
-def test_counters_agree_with_component_stats(lossless):
-    """The counters are a second bookkeeping of the same run; they must
-    agree exactly with the stats structs the components keep."""
-    tel = lossless.telemetry
-    rb = lossless.rebroadcasters[0]
-    assert tel.total("rebroadcaster.data_sent") == rb.stats.data_sent
-    assert tel.total("rebroadcaster.control_sent") == rb.stats.control_sent
-    assert tel.total("rebroadcaster.raw_bytes") == rb.stats.raw_bytes
-    assert tel.total("speaker.data_rx") == sum(
-        n.stats.data_rx for n in lossless.speakers
-    )
-    assert tel.total("speaker.played") == sum(
-        n.stats.played for n in lossless.speakers
-    )
-    assert tel.total("audio.underruns") == sum(
-        n.device.underruns for n in lossless.speakers
-    )
 
 
 # -- the derived report ------------------------------------------------------
@@ -169,13 +154,16 @@ def test_chrome_trace_valid_and_complete(lossless, tmp_path):
 
 def test_sim_instrumentation_recorded(lossless):
     tel = lossless.telemetry
-    assert tel.counters["sim.events"].value > 1000
+    assert lossless.sim.events_executed > 1000
     assert tel.histograms["sim.queue_depth"].count > 0
+    # sampled on every 64th executed event
+    assert (tel.histograms["sim.queue_depth"].count
+            == lossless.sim.events_executed // 64)
 
 
 def test_telemetry_runs_are_deterministic():
-    """Same seed, same virtual schedule: the exported traces and counter
-    snapshots of two runs must match exactly."""
+    """Same seed, same virtual schedule: the exported traces and
+    telemetry snapshots of two runs must match exactly."""
     a = _run_system(loss_rate=0.05, seed=3)
     b = _run_system(loss_rate=0.05, seed=3)
     assert a.telemetry.snapshot() == b.telemetry.snapshot()
@@ -205,3 +193,82 @@ def test_injected_registry_is_used_and_rebound_to_sim_clock():
     system.run()
     assert tel.clock() == system.sim.now == 2.5
     assert tel.tracer.clock() == 2.5
+
+
+# -- telemetry on/off: one count per quantity ---------------------------------
+
+
+def _cd_origins(system, compress, add_listeners):
+    """Eight CD origins sending 2 s of audio at the same instants."""
+    for c in range(8):
+        producer = system.add_producer(
+            name=f"origin{c}", slave_path=f"/dev/vads{c}",
+            master_path=f"/dev/vadm{c}",
+        )
+        channel = system.add_channel(f"ch{c}", params=CD_QUALITY,
+                                     compress=compress)
+        system.add_rebroadcaster(producer, channel,
+                                 master_path=f"/dev/vadm{c}",
+                                 control_interval=0.5, real_codec=False)
+        add_listeners(system, channel)
+        system.play_synthetic(producer, 2.0, CD_QUALITY,
+                              slave_path=f"/dev/vads{c}")
+    system.run(until=4.0)
+    return system
+
+
+def _cohort_station(telemetry):
+    """Compressed channels into four-member cohorts."""
+    return _cd_origins(
+        EthernetSpeakerSystem(seed=4, telemetry=telemetry), "always",
+        lambda system, channel: system.add_speaker_cohort(channel, 4),
+    )
+
+
+def _saturated_lan(telemetry):
+    """Raw channels (11.3 Mbps) on a 10 Mbps LAN with a short transmit
+    queue: data and control sends both fail."""
+    system = EthernetSpeakerSystem(seed=5, bandwidth_bps=10e6,
+                                   telemetry=telemetry)
+    system.lan.max_backlog = 4
+    return _cd_origins(
+        system, "never",
+        lambda system, channel: system.add_speaker(channel=channel),
+    )
+
+
+def _faulty_lan(telemetry):
+    """Gilbert-Elliott bursty loss, duplication and corruption."""
+    system = EthernetSpeakerSystem(seed=6, telemetry=telemetry)
+    producer = system.add_producer()
+    channel = system.add_channel("lobby", params=PARAMS, compress="never")
+    system.add_rebroadcaster(producer, channel, control_interval=0.5)
+    for _ in range(4):
+        system.add_speaker(channel=channel)
+    system.inject_faults(loss_rate=0.05, burst_length=3.0,
+                         duplicate_rate=0.05, corrupt_rate=0.02, seed=9)
+    system.play_pcm(producer, sine(440, 4.0, 8000), PARAMS)
+    system.run(until=6.0)
+    return system
+
+
+@pytest.mark.parametrize(
+    "scenario", [_cohort_station, _saturated_lan, _faulty_lan],
+    ids=["cohort_station", "saturated_lan", "faulty_lan"],
+)
+def test_report_counts_same_with_telemetry_on_and_off(scenario):
+    """Telemetry adds histograms and a trace, never a second count: every
+    count in the report, and the ledger's verdict, is the same either
+    way."""
+    on = report_counts(scenario(True).pipeline_report())
+    off = report_counts(scenario(False).pipeline_report())
+    assert on == off
+    assert on["conservation_ok"]
+
+
+def test_differential_scenarios_are_not_vacuous():
+    rbs = _saturated_lan(False).rebroadcasters
+    assert sum(rb.stats.send_failures for rb in rbs) > 0
+    assert sum(rb.stats.control_send_failures for rb in rbs) > 0
+    st = _faulty_lan(False).fault_injectors[0].stats
+    assert st.lost and st.duplicated and st.corrupted
