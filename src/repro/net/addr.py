@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 #: Ethernet framing cost per packet: preamble+SFD (8) + header (14) +
 #: FCS (4) + minimum inter-frame gap (12)
 ETHER_OVERHEAD = 38
@@ -13,8 +15,13 @@ UDP_IP_OVERHEAD = 28
 MTU = 1500
 
 
+@lru_cache(maxsize=1024)
 def is_multicast(ip: str) -> bool:
-    """True for IPv4 class-D addresses (224.0.0.0/4)."""
+    """True for IPv4 class-D addresses (224.0.0.0/4).
+
+    Memoised: every NIC on a segment asks this of every frame's
+    destination, and a run sees only a handful of distinct addresses.
+    """
     try:
         first = int(ip.split(".", 1)[0])
     except (ValueError, AttributeError):

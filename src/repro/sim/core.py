@@ -10,7 +10,8 @@ sizing on a 233 MHz CPU) reproduce bit-for-bit on any machine.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 
@@ -23,12 +24,18 @@ class SimError(Exception):
 _DEPTH_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback: the list ``[time, seq, fn, args, transient]``.
 
     Returned by :meth:`Simulator.schedule` so callers can cancel it.  The
     ``seq`` field breaks ties between events scheduled for the same instant,
-    preserving FIFO order of scheduling.
+    preserving FIFO order of scheduling.  Being a list, an event is ordered
+    by ``heapq`` in C: the comparison settles on ``(time, seq)`` (``seq`` is
+    unique) and never reaches the callback.  The named fields are read-only
+    views of the slots; the simulator writes the slots directly.
+
+    Cancelling clears the ``fn`` slot, so a cancelled event is one whose
+    ``fn`` is ``None``.
 
     ``transient`` marks an event scheduled through
     :meth:`Simulator.schedule_transient`: no handle was handed out, so it
@@ -38,22 +45,21 @@ class Event:
     it ran.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "transient")
+    __slots__ = ()
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.transient = False
+    time = property(itemgetter(0))
+    seq = property(itemgetter(1))
+    fn = property(itemgetter(2))
+    args = property(itemgetter(3))
+    transient = property(itemgetter(4))
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} seq={self.seq} {state}>"
+        state = "cancelled" if self[2] is None else "pending"
+        return f"<Event t={self[0]:.6f} seq={self[1]} {state}>"
 
 
 class Simulator:
@@ -101,7 +107,7 @@ class Simulator:
         event, and the depth of zero-delay cascades (events piling up at
         one instant — the sim-world analogue of scheduling lag)."""
         tel = self.telemetry
-        if ev.time == self._now and self._batch_events:
+        if ev[0] == self._now and self._batch_events:
             self._batch_events += 1
         else:
             if self._batch_events > 1:
@@ -130,8 +136,8 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         self._seq += 1
-        ev = Event(time, self._seq, fn, args)
-        heapq.heappush(self._heap, ev)
+        ev = Event((time, self._seq, fn, args, False))
+        heappush(self._heap, ev)
         return ev
 
     def schedule_transient(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -148,37 +154,38 @@ class Simulator:
         free = self._free
         if free:
             ev = free.pop()
-            ev.time = self._now + delay
-            ev.seq = self._seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
+            ev[0] = self._now + delay
+            ev[1] = self._seq
+            ev[2] = fn
+            ev[3] = args
         else:
-            ev = Event(self._now + delay, self._seq, fn, args)
-            ev.transient = True
-        heapq.heappush(self._heap, ev)
+            ev = Event((self._now + delay, self._seq, fn, args, True))
+        heappush(self._heap, ev)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a pending event.  Cancelling twice is harmless."""
-        event.cancelled = True
+        """Cancel a pending event.  Cancelling twice, or cancelling an
+        event that already fired, is harmless."""
+        event[2] = None
 
     def step(self) -> bool:
         """Run the single earliest pending event.
 
         Returns ``False`` when the queue is empty.
         """
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
+        heap = self._heap
+        while heap:
+            ev = heappop(heap)
+            fn = ev[2]
+            if fn is None:
                 continue
             self.events_executed += 1
             if self.telemetry is not None:
                 self._record_step(ev)
-            self._now = ev.time
-            ev.fn(*ev.args)
-            if ev.transient and len(self._free) < self.MAX_FREE_EVENTS:
-                ev.fn = None
-                ev.args = ()
+            self._now = ev[0]
+            fn(*ev[3])
+            if ev[4] and len(self._free) < self.MAX_FREE_EVENTS:
+                ev[2] = None
+                ev[3] = ()
                 self._free.append(ev)
             return True
         return False
@@ -190,23 +197,29 @@ class Simulator:
         even if the last event fired earlier, so measurement windows have a
         well-defined length.  Re-raises the first unhandled process
         exception, if any.
+
+        Every event runs through ``self.step()``, so a per-instance
+        ``step`` override (an event tracer) sees each one.
         """
-        while self._heap:
-            nxt = self._heap[0]
-            if nxt.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        unhandled = self.unhandled
+        stop = float("inf") if until is None else until
+        while heap:
+            nxt = heap[0]
+            if nxt[2] is None:
+                heappop(heap)
                 continue
-            if until is not None and nxt.time > until:
+            if nxt[0] > stop:
                 break
             self.step()
-            if self.unhandled:
-                raise self.unhandled[0]
+            if unhandled:
+                raise unhandled[0]
         if until is not None and until > self._now:
             self._now = until
-        if self.unhandled:
-            raise self.unhandled[0]
+        if unhandled:
+            raise unhandled[0]
         return self._now
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for ev in self._heap if ev[2] is not None)

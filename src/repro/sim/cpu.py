@@ -235,6 +235,18 @@ class CPU:
         )
 
     def _slice_done(self, job: _CpuJob, slice_cycles: float) -> None:
+        """Account a finished slice, then requeue or complete its job.
+
+        A completed job resumes its process, and the next dispatch is
+        deferred one zero-delay :meth:`_post_completion` event so the woken
+        process can submit its follow-on work first (run-until-block).
+        That event is scheduled only while the run queue holds a job: with
+        an empty queue it could never dispatch anything.  A job submitted
+        before it fires is dispatched at once, since the CPU is free; a
+        halted CPU holds its jobs until :meth:`unhalt`, which dispatches
+        by itself; and ``seq`` only breaks ties, so leaving the event out
+        keeps the relative order of every other event.
+        """
         self.stats.domain_seconds[job.domain] += slice_cycles / self.freq_hz
         self._continuous += slice_cycles / self.freq_hz
         self._last_busy_end = self.sim.now
@@ -248,9 +260,8 @@ class CPU:
             self.stats.jobs_completed += 1
             if job.proc is not None:
                 job.proc._resume(None)
-            # Defer the next dispatch one event so the woken process can
-            # submit its follow-on work first (run-until-block).
-            self.sim.schedule_transient(0.0, self._post_completion)
+            if self._run_queue:
+                self.sim.schedule_transient(0.0, self._post_completion)
 
     def _post_completion(self) -> None:
         if self._current is None and self._run_queue:

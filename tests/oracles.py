@@ -13,7 +13,11 @@ per-object implementation does (same results, same simulator events):
   cohort member API;
 * :func:`report_counts` is the integer view of a
   :class:`~repro.metrics.telemetry.PipelineReport` that the telemetry
-  on/off differentials compare.
+  on/off differentials compare;
+* :class:`AlwaysDeferCPU` schedules the deferred dispatch after every
+  completed CPU job, as the CPU did before it learned to leave out the
+  ones that cannot run anything, and :func:`machine_cpus` builds every
+  machine's CPU from a given class.
 
 A cache-off arm needs no oracle: pass ``decode_cache=None`` to
 ``add_speaker`` or ``encode_cache=None`` to ``add_rebroadcaster``.
@@ -28,7 +32,9 @@ from unittest import mock
 
 from repro.codec import mp3like, vorbislike
 from repro.codec.batch import BatchFallback
+from repro.kernel import machine
 from repro.net.segment import deliver_batch
+from repro.sim.cpu import CPU
 
 
 def per_receiver_delivery(sim):
@@ -127,3 +133,59 @@ def report_counts(report) -> Dict[str, object]:
     counts["conservation_residual"] = report.conservation_residual
     counts["conservation_ok"] = report.conservation_ok
     return counts
+
+
+class AlwaysDeferCPU(CPU):
+    """A CPU that defers a dispatch after every completed job.
+
+    Production schedules ``_post_completion`` only while the run queue
+    holds a job.  This oracle keeps ``_slice_done`` as it was before that
+    rule and also defers onto an empty queue, at the same point of the
+    same event, so its timeline carries exactly those extra events.
+    ``noop_completions`` counts the ones deferred onto an empty queue
+    that dispatched nothing when they fired; if the rule is sound, that
+    is every one of them.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.noop_completions = 0
+
+    def _slice_done(self, job, slice_cycles: float) -> None:
+        self.stats.domain_seconds[job.domain] += slice_cycles / self.freq_hz
+        self._continuous += slice_cycles / self.freq_hz
+        self._last_busy_end = self.sim.now
+        job.remaining -= slice_cycles
+        job.running = False
+        self._current = None
+        if job.remaining > 1e-9:
+            self._run_queue.append(job)
+            self._dispatch()
+        else:
+            self.stats.jobs_completed += 1
+            if job.proc is not None:
+                job.proc._resume(None)
+            deferred = (self._post_completion if self._run_queue
+                        else self._deferred_onto_empty_queue)
+            self.sim.schedule_transient(0.0, deferred)
+
+    def _deferred_onto_empty_queue(self) -> None:
+        current = self._current
+        self._post_completion()
+        if self._current is current:
+            self.noop_completions += 1
+
+
+@contextmanager
+def machine_cpus(cls):
+    """Inside the block, every :class:`~repro.kernel.machine.Machine`
+    gets a ``cls`` CPU; yields the list of CPUs built, in build order."""
+    built: List[CPU] = []
+
+    def build(*args, **kwargs):
+        cpu = cls(*args, **kwargs)
+        built.append(cpu)
+        return cpu
+
+    with mock.patch.object(machine, "CPU", build):
+        yield built

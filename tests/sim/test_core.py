@@ -1,6 +1,8 @@
 """Event loop: ordering, cancellation, clock semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator, SimError
 
@@ -116,3 +118,103 @@ def test_pending_counts_live_events():
     assert sim.pending() == 2
     sim.cancel(ev)
     assert sim.pending() == 1
+
+
+# -- the event heap ------------------------------------------------------------
+
+#: few distinct delays, so same-instant ties (broken by seq) are common
+DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
+
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), DELAYS),
+        st.tuples(st.just("schedule_at"), DELAYS),
+        st.tuples(st.just("transient"), DELAYS),
+        st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.tuples(st.just("step"), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=OPS)
+def test_heap_fires_in_time_seq_order_against_sorted_reference(ops):
+    """Random interleavings of schedule, schedule_at, schedule_transient,
+    cancel (of pending, cancelled and already-fired handles) and step
+    fire exactly the live events, in ``(time, seq)`` order."""
+    sim = Simulator()
+    fired = []
+    live = {}  # seq -> (time, seq): the reference queue
+    handles = []  # (Event, seq) for every handle handed out
+    seq = 0
+
+    def next_expected():
+        return min(live.values()) if live else None
+
+    for op, arg in ops:
+        if op == "cancel":
+            if handles:
+                ev, s = handles[arg % len(handles)]
+                sim.cancel(ev)
+                live.pop(s, None)
+        elif op == "step":
+            expected = next_expected()
+            assert sim.step() is (expected is not None)
+            if expected is not None:
+                assert fired[-1] == expected[1]
+                assert sim.now == expected[0]
+                del live[expected[1]]
+        else:
+            seq += 1
+            time = sim.now + arg
+            if op == "schedule":
+                handles.append((sim.schedule(arg, fired.append, seq), seq))
+            elif op == "schedule_at":
+                handles.append(
+                    (sim.schedule_at(time, fired.append, seq), seq)
+                )
+            else:
+                assert sim.schedule_transient(arg, fired.append, seq) is None
+            live[seq] = (time, seq)
+        assert sim.pending() == len(live)
+    before = len(fired)
+    sim.run()
+    assert fired[before:] == [s for _, s in sorted(live.values())]
+    assert sim.pending() == 0
+    assert sim.events_executed == len(fired)
+
+
+def test_tracer_contract_next_callback_and_step_override():
+    """An outside-in tracer reads the next callback as ``sim._heap[0].fn``
+    and wraps ``step`` on the instance; ``run()`` must send every event
+    it executes through that override, with the heap top being the
+    callback that then fires."""
+    sim = Simulator()
+    fired, seen = [], []
+
+    def tick(tag):
+        fired.append(tick)
+        if tag < 3:
+            sim.schedule_transient(0.5, tick, tag + 1)
+
+    def tock():
+        fired.append(tock)
+
+    def never():
+        fired.append(never)
+
+    sim.schedule(1.0, tick, 0)
+    sim.cancel(sim.schedule(0.2, never))
+    sim.schedule(1.0, tock)
+    original = sim.step
+    heap = sim._heap
+
+    def step():
+        seen.append(heap[0].fn)
+        return original()
+
+    sim.step = step
+    sim.run(until=5.0)
+    assert seen == fired == [tick, tock, tick, tick, tick]
+    assert sim.events_executed == len(seen)
